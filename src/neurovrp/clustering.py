@@ -1,10 +1,17 @@
-"""Polar-proximity clustering and the sparse within-cluster attention it drives.
+"""Polar-proximity clustering and the within-cluster attention it drives.
 
 Customers are scored by a mix of normalized angle and radius around the
 depot, sorted, and chunked into fixed-size clusters over several rounds.
 Attention is then computed independently inside each cluster (plus the
 depot, which joins every cluster), giving O(n) attention pairs instead of
-O(n^2).
+O(n^2). Dense attention is the one-cluster case of the same code: a single
+round whose one cluster holds every customer.
+
+The clusters of a whole batch are stacked into one slot layout, built once
+per batch and shared by every encoder layer. Each layer gathers the slot
+rows, runs one batched multi-head attention over all groups, and combines
+the rounds by a segment mean: weighted slot outputs are scatter-added back
+to their node rows.
 """
 
 from __future__ import annotations
@@ -15,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, masked_softmax, matmul, reshape, swapaxes, take
+from .tensor import (Tensor, masked_softmax, matmul, reshape, scatter,
+                     swapaxes, take)
 
 
 @dataclass
@@ -167,70 +175,81 @@ class AttentionParams:
     heads: int
 
 
-def _combine_matrix(index: ClusterIndex, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat member-index array and the averaging matrix mapping slot outputs
-    back to node rows.
+@dataclass
+class SlotLayout:
+    """Every attention group of a batch, built once and shared by all layers.
 
-    Each cluster is its M member slots plus an appended depot slot. Padding
-    slots are excluded from attention entirely; customer outputs average over
-    rounds, the depot output averages over all its appearances.
+    A group is one cluster of one round of one instance plus the depot.
+    `rounds[r]` holds the rows of round r's groups in the flat (B*N, d) node
+    matrix; `weight` is 1/appearances of each unmasked slot's node (0 on
+    padding), so a weighted scatter-add gives each node's mean.
     """
-    slot_nodes = []
-    slot_allowed = []
-    for members, pads in zip(index.rounds, index.padding):
-        for c in range(members.shape[0]):
-            slot_nodes.extend(members[c].tolist() + [0])
-            slot_allowed.extend((~pads[c]).tolist() + [True])
-    slot_nodes = np.array(slot_nodes, dtype=np.int64)
-    slot_allowed = np.array(slot_allowed, dtype=bool)
-
-    combine = np.zeros((n_nodes, len(slot_nodes)))
-    for s, (node, ok) in enumerate(zip(slot_nodes, slot_allowed)):
-        if ok:
-            combine[node, s] = 1.0
-    row_sums = combine.sum(axis=1, keepdims=True)
-    combine /= np.where(row_sums == 0.0, 1.0, row_sums)
-    return slot_nodes, combine
+    rounds: np.ndarray      # (R, B*C, M+1) int
+    key_mask: np.ndarray    # (R, B*C, M+1) bool
+    weight: np.ndarray      # (R, B*C, M+1) float
+    cluster_size: int
 
 
-def clustered_attention(h: Tensor, index: ClusterIndex,
-                        params: AttentionParams) -> Tensor:
-    """Scaled dot-product multi-head attention within each cluster.
+def build_slot_layout(indices: list[ClusterIndex]) -> SlotLayout:
+    """Stack the cluster indices of a batch whose instances share n."""
+    members = np.stack([np.stack(idx.rounds) for idx in indices], axis=1)
+    pads = np.stack([np.stack(idx.padding) for idx in indices], axis=1)
+    n_rounds, bsz, n_clusters, m = members.shape       # (R, B, C, M)
+    n_nodes = indices[0].n_customers + 1
+    offsets = np.arange(bsz).reshape(1, bsz, 1, 1) * n_nodes
+    depot = np.broadcast_to(offsets, (n_rounds, bsz, n_clusters, 1))
+    rows = np.concatenate([members + offsets, depot], axis=-1)
+    allowed = np.concatenate([~pads, np.ones_like(depot, dtype=bool)], axis=-1)
+    shape = (n_rounds, bsz * n_clusters, m + 1)
+    rows, allowed = rows.reshape(shape), allowed.reshape(shape)
+    appearances = np.bincount(rows[allowed], minlength=bsz * n_nodes)
+    weight = np.where(allowed, 1.0 / appearances[rows], 0.0)
+    return SlotLayout(rounds=rows, key_mask=allowed, weight=weight,
+                      cluster_size=m)
 
-    `h` has one row per node (depot first, then customers). The depot row
-    joins every cluster as an extra query/key/value so all nodes can attend
-    to it; padding slots are masked out. Outputs from the multiple rounds
-    are combined by arithmetic mean per node.
+
+def multi_head_attention(x: Tensor, key_mask: np.ndarray,
+                         params: AttentionParams) -> Tensor:
+    """Scaled dot-product multi-head self-attention inside each group.
+
+    `x` is (G, S, d): G independent groups of S slots. Queries attend only
+    to the keys that `key_mask` (G, S) allows. Returns (G, S, d).
     """
-    n_nodes, d = h.shape
+    n_groups, n_slots, d = x.shape
     if params.wq.shape[0] != d:
         raise ValueError("embedding dim does not match attention params")
     heads = params.heads
     dh = d // heads
-    m1 = index.cluster_size + 1  # members + appended depot
 
-    slot_nodes, combine = _combine_matrix(index, n_nodes)
-    n_groups = len(slot_nodes) // m1
+    def split_heads(t: Tensor) -> Tensor:
+        return swapaxes(reshape(t, (n_groups, n_slots, heads, dh)), 1, 2)
 
-    allowed = []
-    for pads in index.padding:
-        for c in range(pads.shape[0]):
-            allowed.extend((~pads[c]).tolist() + [True])
-    allowed = np.array(allowed, dtype=bool).reshape(n_groups, m1)
-
-    hc = reshape(take(h, slot_nodes, axis=0), (n_groups, m1, d))
-
-    def split_heads(x: Tensor) -> Tensor:
-        return swapaxes(reshape(x, (n_groups, m1, heads, dh)), 1, 2)
-
-    q = split_heads(matmul(hc, params.wq))
-    k = split_heads(matmul(hc, params.wk))
-    v = split_heads(matmul(hc, params.wv))
+    q = split_heads(matmul(x, params.wq))
+    k = split_heads(matmul(x, params.wk))
+    v = split_heads(matmul(x, params.wv))
 
     scores = matmul(q, swapaxes(k, -1, -2)) * (1.0 / math.sqrt(dh))
-    key_mask = allowed[:, None, None, :]
-    attn = masked_softmax(scores, key_mask, axis=-1)
-    out = matmul(attn, v)                                   # (g, heads, m1, dh)
-    out = reshape(swapaxes(out, 1, 2), (n_groups * m1, d))
-    out = matmul(out, params.wo)
-    return matmul(Tensor(combine), out)
+    attn = masked_softmax(scores, key_mask[:, None, None, :], axis=-1)
+    out = matmul(attn, v)                          # (G, heads, S, dh)
+    out = reshape(swapaxes(out, 1, 2), (n_groups, n_slots, d))
+    return matmul(out, params.wo)
+
+
+def clustered_attention(h: Tensor, index: SlotLayout,
+                        params: AttentionParams) -> Tensor:
+    """Multi-head attention within every cluster of a batch: (B, N, d).
+
+    `h` has one row per node of each instance (depot first, then
+    customers). The depot joins every cluster as an extra slot so all
+    nodes can attend to it; padding slots are masked out. A node's output
+    is the mean of its slot outputs over all rounds (the depot's over all
+    its appearances), summed back to the node rows by one scatter.
+    """
+    bsz, n_nodes, d = h.shape
+    m1 = index.cluster_size + 1
+    rows = index.rounds.reshape(-1, m1)
+    slots = take(reshape(h, (bsz * n_nodes, d)), rows, axis=0)
+    out = multi_head_attention(slots, index.key_mask.reshape(-1, m1), params)
+    out = out * Tensor(index.weight.reshape(-1, m1, 1))
+    flat = (rows[..., None] * d + np.arange(d)).ravel()
+    return scatter(out, flat, (bsz, n_nodes, d))

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .clustering import AttentionParams, build_cluster_index, clustered_attention
+from .clustering import (AttentionParams, SlotLayout, build_cluster_index,
+                         build_slot_layout, clustered_attention,
+                         multi_head_attention)
 from .instances import Instance, Variant, build_distance_matrix
 from .tensor import Tensor
 
@@ -41,6 +43,10 @@ class ModelConfig:
             raise ValueError("d must be divisible by heads")
         if self.edge_dim > self.d:
             raise ValueError("edge_dim must not exceed d")
+        if self.cluster_size is not None and self.cluster_size < 1:
+            raise ValueError(f"cluster_size must be >= 1, got {self.cluster_size}")
+        if self.rounds < 1:
+            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
 
     @classmethod
     def full_scale(cls, variant: Variant = Variant.VRP) -> "ModelConfig":
@@ -136,40 +142,17 @@ def node_features(batch: list[Instance]) -> tuple[np.ndarray, np.ndarray]:
     return depot, np.stack(feats)
 
 
-def _dense_attention(h: Tensor, params: dict[str, Tensor], layer: int,
-                     heads: int) -> Tensor:
-    """Full multi-head self-attention over all nodes, batched (B, N, d)."""
-    bsz, n, d = h.shape
-    dh = d // heads
-
-    def split(x):
-        return T.swapaxes(T.reshape(x, (bsz, n, heads, dh)), 1, 2)
-
-    q = split(h @ params[f"enc.l{layer}.attn.wq"])
-    k = split(h @ params[f"enc.l{layer}.attn.wk"])
-    v = split(h @ params[f"enc.l{layer}.attn.wv"])
-    scores = (q @ T.swapaxes(k, -1, -2)) * (1.0 / math.sqrt(dh))
-    attn = T.masked_softmax(scores, np.ones(scores.shape, dtype=bool))
-    out = T.reshape(T.swapaxes(attn @ v, 1, 2), (bsz, n, d))
-    return out @ params[f"enc.l{layer}.attn.wo"]
+def _attention_params(params: dict[str, Tensor], prefix: str,
+                      heads: int) -> AttentionParams:
+    return AttentionParams(wq=params[f"{prefix}.wq"], wk=params[f"{prefix}.wk"],
+                           wv=params[f"{prefix}.wv"], wo=params[f"{prefix}.wo"],
+                           heads=heads)
 
 
 def _encoder_layer(h: Tensor, params: dict[str, Tensor], layer: int,
-                   config: ModelConfig,
-                   cluster_indices: list | None) -> Tensor:
-    if cluster_indices is None:
-        att = _dense_attention(h, params, layer, config.heads)
-    else:
-        ap = AttentionParams(wq=params[f"enc.l{layer}.attn.wq"],
-                             wk=params[f"enc.l{layer}.attn.wk"],
-                             wv=params[f"enc.l{layer}.attn.wv"],
-                             wo=params[f"enc.l{layer}.attn.wo"],
-                             heads=config.heads)
-        rows = [clustered_attention(T.reshape(
-            T.take(h, np.array([b]), axis=0), h.shape[1:]), idx, ap)
-            for b, idx in enumerate(cluster_indices)]
-        att = T.reshape(T.concat(rows, axis=0),
-                        (len(rows),) + rows[0].shape)
+                   config: ModelConfig, layout: SlotLayout) -> Tensor:
+    att = clustered_attention(
+        h, layout, _attention_params(params, f"enc.l{layer}.attn", config.heads))
     h = h + att
     h = T.norm_affine(h, params[f"enc.l{layer}.norm1.scale"],
                       params[f"enc.l{layer}.norm1.shift"], axis=-2)
@@ -190,16 +173,17 @@ def encode(batch: list[Instance], params: dict[str, Tensor],
     cust_h = Tensor(cust_feats) @ params["enc.in.cust.w"] + params["enc.in.cust.b"]
     h = T.concat([T.reshape(depot_h, (len(batch), 1, config.d)), cust_h], axis=1)
 
-    cluster_indices = None
-    if config.cluster_size is not None:
-        cluster_indices = [
-            build_cluster_index(inst.customers, inst.depot,
-                                config.cluster_size, config.rounds,
-                                config.smoothing)
-            for inst in batch]
+    # Dense attention is the one-cluster case: every customer, one round.
+    if config.cluster_size is None:
+        m, rounds, smoothing = batch[0].n_customers, 1, False
+    else:
+        m, rounds, smoothing = config.cluster_size, config.rounds, config.smoothing
+    layout = build_slot_layout([
+        build_cluster_index(inst.customers, inst.depot, m, rounds, smoothing)
+        for inst in batch])
 
     for layer in range(config.layers):
-        h = _encoder_layer(h, params, layer, config, cluster_indices)
+        h = _encoder_layer(h, params, layer, config, layout)
     return h
 
 
@@ -218,20 +202,9 @@ def encode_optional(batch: list[Instance], params: dict[str, Tensor],
         raise ValueError("variant has no optional nodes")
     coords = np.stack([inst.optional_nodes for inst in batch])
     h = Tensor(coords) @ params["opt.in.w"] + params["opt.in.b"]
-    bsz, f, d = h.shape
-    heads = config.heads
-    dh = d // heads
-
-    def split(x):
-        return T.swapaxes(T.reshape(x, (bsz, f, heads, dh)), 1, 2)
-
-    q = split(h @ params["opt.attn.wq"])
-    k = split(h @ params["opt.attn.wk"])
-    v = split(h @ params["opt.attn.wv"])
-    attn = T.masked_softmax((q @ T.swapaxes(k, -1, -2)) * (1 / math.sqrt(dh)),
-                            np.ones((bsz, heads, f, f), dtype=bool))
-    out = T.reshape(T.swapaxes(attn @ v, 1, 2), (bsz, f, d))
-    return out @ params["opt.attn.wo"]
+    bsz, f, _ = h.shape
+    return multi_head_attention(h, np.ones((bsz, f), dtype=bool),
+                                _attention_params(params, "opt.attn", config.heads))
 
 
 def fuse_optional(h: Tensor, h_opt: Tensor, params: dict[str, Tensor],

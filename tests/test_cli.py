@@ -166,6 +166,12 @@ class TestInfoCommands:
         n, dense, cpa, _, _ = lines[1].split(",")
         assert int(n) == 100 and int(cpa) < int(dense)
 
+    def test_model_json_with_bad_rounds_rejected(self, workdir):
+        cfg = workdir / "model.json"
+        cfg.write_text(json.dumps({"cluster_size": 20, "rounds": 0}))
+        with pytest.raises(ValueError, match="rounds"):
+            main(["model-info", "--model", str(cfg)])
+
     def test_model_info_totals(self, capsys):
         assert main(["model-info", "--model", "full"]) == 0
         out = capsys.readouterr().out

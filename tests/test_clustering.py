@@ -128,13 +128,20 @@ def _dense_reference(h, params):
     return out @ params.wo.values
 
 
+def _one_instance(h, index, params):
+    """clustered_attention on a single instance: (N, d) in, (N, d) out."""
+    layout = C.build_slot_layout([index])
+    out = C.clustered_attention(T.reshape(h, (1,) + h.shape), layout, params)
+    return T.reshape(out, h.shape)
+
+
 class TestClusteredAttention:
     def test_single_cluster_equals_dense(self):
         coords, depot = _coords(12)
         index = C.build_cluster_index(coords, depot, 13, 1, False)
         params = _attention_params(8, 2)
         h = Tensor(np.random.default_rng(1).standard_normal((13, 8)))
-        out = C.clustered_attention(h, index, params)
+        out = _one_instance(h, index, params)
         ref = _dense_reference(h.values, params)
         assert np.abs(out.values - ref).max() < 1e-10
 
@@ -144,7 +151,7 @@ class TestClusteredAttention:
         params = _attention_params(8, 2)
         h = Tensor(np.random.default_rng(2).standard_normal((18, 8)),
                    requires_grad=True)
-        out = C.clustered_attention(h, index, params)
+        out = _one_instance(h, index, params)
         assert out.shape == (18, 8)
         T.tsum(out * out).backward()
         assert h.grad is not None and np.abs(h.grad).max() > 0
@@ -155,23 +162,28 @@ class TestClusteredAttention:
         h = Tensor(np.random.default_rng(3).standard_normal((10, 4)))
         # duplicating the single round must not change the average
         once = C.build_cluster_index(coords, depot, 9, 1, False)
-        out1 = C.clustered_attention(h, once, params)
+        out1 = _one_instance(h, once, params)
         twice = C.ClusterIndex(rounds=once.rounds * 2,
                                padding=once.padding * 2,
                                alpha_values=once.alpha_values * 2,
                                smoothed=once.smoothed * 2,
                                n_customers=9, cluster_size=9)
-        out2 = C.clustered_attention(h, twice, params)
+        out2 = _one_instance(h, twice, params)
         assert np.abs(out1.values - out2.values).max() < 1e-12
 
-    def test_gradcheck_through_clusters(self):
-        coords, depot = _coords(8)
-        index = C.build_cluster_index(coords, depot, 3, 1, False)
+    @pytest.mark.parametrize("bsz,n,m,rounds,smoothing", [
+        (1, 8, 3, 1, False),
+        (2, 7, 3, 2, True),     # padding: 7 customers in clusters of 3
+    ], ids=["one-instance", "batch-padded-smoothed"])
+    def test_gradcheck_through_clusters(self, bsz, n, m, rounds, smoothing):
+        indices = [C.build_cluster_index(*_coords(n, seed=b), m, rounds,
+                                         smoothing) for b in range(bsz)]
+        layout = C.build_slot_layout(indices)
         params = _attention_params(4, 2)
-        h = Tensor(np.random.default_rng(4).standard_normal((9, 4)),
+        h = Tensor(np.random.default_rng(4).standard_normal((bsz, n + 1, 4)),
                    requires_grad=True)
         leaves = [h, params.wq, params.wk, params.wv, params.wo]
         err = T.finite_diff_check(
-            lambda: T.tsum(T.tanh(C.clustered_attention(h, index, params))),
+            lambda: T.tsum(T.tanh(C.clustered_attention(h, layout, params))),
             leaves, count=50)
         assert err < 1e-5

@@ -24,6 +24,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             M.ModelConfig(d=16, heads=2, edge_dim=32)
 
+    @pytest.mark.parametrize("field,value", [("cluster_size", 0),
+                                             ("rounds", 0)])
+    def test_cluster_fields_bounded(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            M.ModelConfig(**{field: value})
+
     def test_full_scale_values(self):
         cfg = M.ModelConfig.full_scale()
         assert (cfg.d, cfg.layers, cfg.ff, cfg.heads, cfg.edge_dim,
@@ -69,6 +75,16 @@ class TestEncoder:
         dense = M.encode(batch, params, _toy())
         clustered = M.encode(batch, params, _toy(cluster_size=12))
         assert np.abs(dense.values - clustered.values).max() < 1e-9
+
+    def test_instance_rows_independent_of_batch(self):
+        # 10 customers in clusters of 4: padding in every round
+        cfg = _toy(cluster_size=4, rounds=2, smoothing=True)
+        params = M.init_params(cfg, seed=1)
+        batch = [generate(Variant.VRP, 10, seed=s) for s in range(3)]
+        together = M.encode(batch, params, cfg).values
+        for b, inst in enumerate(batch):
+            alone = M.encode([inst], params, cfg).values[0]
+            assert np.abs(together[b] - alone).max() < 1e-12
 
     def test_sparse_clusters_differ_but_run(self):
         params = M.init_params(_toy(), seed=1)
