@@ -423,28 +423,26 @@ def solve(instance: Instance, params: dict[str, Tensor], config: ModelConfig,
     rng = np.random.default_rng(seed)
 
     if policy == "greedy":
-        results = [batch_rollout([instance], params, config, 1, "greedy")]
-        insts = [instance]
+        res = batch_rollout([instance], params, config, 1, "greedy")
     elif policy == "sampling":
-        results = [batch_rollout([instance], params, config, samples,
-                                 "sample", rng=rng)]
-        insts = [instance]
+        res = batch_rollout([instance], params, config, samples, "sample",
+                            rng=rng)
     elif policy == "pomo":
-        results = [batch_rollout([instance], params, config, pomo, "greedy",
-                                 force_first=True)]
-        insts = [instance]
+        res = batch_rollout([instance], params, config, pomo, "greedy",
+                            force_first=True)
     elif policy == "pomo-aug":
-        insts = augment8(instance)
-        results = [batch_rollout([aug], params, config, pomo, "greedy",
-                                 force_first=True) for aug in insts]
+        # Each augmentation is encoded alone: the edge MLP over 8 instances
+        # at once needs about 8x the memory. All 8 then decode as one batch.
+        augs = augment8(instance)
+        cache = M.concat_caches([build_cache([aug], params, config)
+                                 for aug in augs])
+        res = batch_rollout(augs, params, config, pomo, "greedy",
+                            force_first=True, cache=cache)
     else:
         raise ValueError(f"unknown policy {policy!r}")
 
-    best: Solution | None = None
-    for res in results:
-        t = int(np.argmin(res.costs))
-        if best is None or res.costs[t] < best.cost:
-            best = Solution(actions=res.actions[t], cost=float(res.costs[t]))
+    t = int(np.argmin(res.costs))
+    best = Solution(actions=res.actions[t], cost=float(res.costs[t]))
     report = validate_solution(instance, best)
     if not report.ok:
         raise AssertionError(f"decoded solution failed validation: "

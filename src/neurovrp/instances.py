@@ -98,6 +98,9 @@ class Instance:
                           self.optional_nodes])
 
     def validate(self) -> None:
+        if self.n_customers == 0:
+            raise ValueError("customer set is empty: an instance needs at "
+                             "least one customer")
         coords = self.coords()
         if coords.min() < -1e-9 or coords.max() > 1.0 + 1e-9:
             raise ValueError("coordinates outside [0,1]^2")

@@ -330,14 +330,30 @@ def build_decode_cache(h_dc: Tensor, h_opt: Tensor | None,
     )
 
 
+def concat_caches(caches: list[DecodeCache]) -> DecodeCache:
+    """One cache for the instances of several same-shaped caches, in order."""
+    def cat(name):
+        parts = [getattr(c, name) for c in caches]
+        return None if parts[0] is None else T.concat(parts, axis=0)
+
+    return DecodeCache(h_nodes=cat("h_nodes"), k_glimpse=cat("k_glimpse"),
+                       v_glimpse=cat("v_glimpse"), k_logit=cat("k_logit"),
+                       heat=cat("heat"), n_dc=caches[0].n_dc)
+
+
 @dataclass
 class ExpandedCache:
-    """DecodeCache broadcast to per-trajectory rows, built once per rollout."""
-    traj_instance: np.ndarray
+    """DecodeCache laid out for a rollout of B instances x P trajectories.
+
+    Row t = b*P + p is trajectory p of instance b (the POMO layout). Keys
+    stay per instance and each step broadcasts an instance's P queries
+    against them, so nothing is copied per trajectory.
+    """
+    traj_instance: np.ndarray  # (T,) np.repeat(arange(B), P)
     h_flat: Tensor       # (B*N, d) for current-node gathers
-    k_g: Tensor          # (T, heads, N, dh)
-    v_g: Tensor          # (T, heads, N, dh)
-    k_l: Tensor          # (T, N, d)
+    k_g: Tensor          # (B, heads, N, dh)
+    v_g: Tensor          # (B, heads, N, dh)
+    k_l: Tensor          # (B, d, N)
     heat_flat: Tensor | None   # (B*N_dc, N_dc)
     n_dc: int
     n_total: int
@@ -345,26 +361,28 @@ class ExpandedCache:
 
 def expand_cache(cache: DecodeCache, traj_instance: np.ndarray,
                  config: ModelConfig) -> ExpandedCache:
-    """Replicate instance-level projections onto trajectory rows.
+    """Split instance-level projections into heads for a rollout.
 
-    The trajectory-to-instance map never changes during a rollout, so
-    this gather happens once instead of once per step.
+    traj_instance must be np.repeat(np.arange(B), P): the P trajectories
+    of each instance in consecutive rows, as `init_batch_state` builds it.
     """
     bsz, n_total, d = cache.h_nodes.shape
-    t_cnt = len(traj_instance)
+    pomo = len(traj_instance) // bsz
+    if pomo < 1 or not np.array_equal(traj_instance,
+                                      np.repeat(np.arange(bsz), pomo)):
+        raise ValueError("traj_instance must hold P >= 1 consecutive rows "
+                         "per instance: np.repeat(np.arange(B), P)")
     heads = config.heads
-    dh = d // heads
 
-    def split_t(x):
-        x = T.take(x, traj_instance, axis=0)
-        return T.swapaxes(T.reshape(x, (t_cnt, n_total, heads, dh)), 1, 2)
+    def split_heads(x):
+        return T.swapaxes(T.reshape(x, (bsz, n_total, heads, d // heads)), 1, 2)
 
     return ExpandedCache(
         traj_instance=traj_instance,
         h_flat=T.reshape(cache.h_nodes, (bsz * n_total, d)),
-        k_g=split_t(cache.k_glimpse),
-        v_g=split_t(cache.v_glimpse),
-        k_l=T.take(cache.k_logit, traj_instance, axis=0),
+        k_g=split_heads(cache.k_glimpse),
+        v_g=split_heads(cache.v_glimpse),
+        k_l=T.swapaxes(cache.k_logit, 1, 2),
         heat_flat=None if cache.heat is None
         else T.reshape(cache.heat, (bsz * cache.n_dc, cache.n_dc)),
         n_dc=cache.n_dc,
@@ -376,7 +394,7 @@ def decode_step(cache: ExpandedCache, params: dict[str, Tensor],
                 config: ModelConfig, current: np.ndarray,
                 cap_frac: np.ndarray, xi: np.ndarray, allowed: np.ndarray,
                 opt_term: np.ndarray | None = None) -> Tensor:
-    """One decoding step for T trajectories: probabilities (T, N_total).
+    """One decoding step for T = B*P trajectories: probabilities (T, N_total).
 
     cap_frac is the remaining-capacity fraction c_t and xi the normalized
     variant-specific resource/time feature (zero where unused). opt_term
@@ -387,6 +405,8 @@ def decode_step(cache: ExpandedCache, params: dict[str, Tensor],
     t_cnt = len(current)
     heads = config.heads
     dh = d // heads
+    bsz = cache.k_g.shape[0]
+    pomo = t_cnt // bsz
     traj_instance = cache.traj_instance
 
     flat_idx = traj_instance * n_total + current
@@ -394,14 +414,14 @@ def decode_step(cache: ExpandedCache, params: dict[str, Tensor],
     ctx = T.concat([h_t, Tensor(cap_frac[:, None]), Tensor(xi[:, None])], axis=1)
     q = ctx @ params["dec.ctx.w"]
 
-    qh = T.reshape(q, (t_cnt, heads, 1, dh))
+    qh = T.swapaxes(T.reshape(q, (bsz, pomo, heads, dh)), 1, 2)
     scores = (qh @ T.swapaxes(cache.k_g, -1, -2)) * (1 / math.sqrt(dh))
-    attn = T.masked_softmax(scores, allowed[:, None, None, :])
+    attn = T.masked_softmax(scores, allowed.reshape(bsz, 1, pomo, n_total))
     glimpse = T.reshape(T.swapaxes(attn @ cache.v_g, 1, 2), (t_cnt, d))
     q2 = glimpse @ params["dec.wo_g"]
 
-    logits = T.reshape(T.reshape(q2, (t_cnt, 1, d))
-                       @ T.swapaxes(cache.k_l, -1, -2), (t_cnt, n_total))
+    logits = T.reshape(T.reshape(q2, (bsz, pomo, d)) @ cache.k_l,
+                       (t_cnt, n_total))
     logits = T.tanh(logits * (1 / math.sqrt(d))) * LOGIT_CLIP
 
     if cache.heat_flat is not None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -248,12 +249,15 @@ def take(a: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
     out_vals = np.take(a.values, idx, axis=axis)
 
     def bw(g):
-        acc = np.zeros_like(a.values)
-        moved = np.moveaxis(acc, axis, 0)
+        # Scatter-add on flat positions of the accumulator with `axis` moved
+        # first: a 1-D np.add.at is several times faster than a row-wise one.
+        acc = np.zeros_like(np.moveaxis(a.values, axis, 0), order="C")
+        row = math.prod(acc.shape[1:])
         g_moved = np.moveaxis(
             g, tuple(range(axis, axis + idx.ndim)), tuple(range(idx.ndim)))
-        np.add.at(moved, idx, g_moved)
-        a._accumulate(acc)
+        flat = (idx.reshape(-1) % acc.shape[0])[:, None] * row + np.arange(row)
+        np.add.at(acc.reshape(-1), flat.reshape(-1), g_moved.reshape(-1))
+        a._accumulate(np.moveaxis(acc, 0, axis))
 
     return Tensor(out_vals, _parents=(a,), _backward=bw)
 
@@ -339,13 +343,16 @@ def masked_softmax(a: Tensor, allowed: np.ndarray, axis: int = -1) -> Tensor:
     Disallowed entries get probability exactly 0. Rows with no allowed
     entry are rejected.
     """
-    mask = np.broadcast_to(np.asarray(allowed, dtype=bool), a.values.shape)
-    if not mask.any(axis=axis).all():
+    mask = np.asarray(allowed, dtype=bool)
+    # Rows are checked on the mask as given, before broadcasting (for
+    # example across heads) repeats them.
+    lead = (1,) * (a.values.ndim - mask.ndim)
+    if not mask.reshape(lead + mask.shape).any(axis=axis).all():
         raise ValueError("masked_softmax: a row has no allowed entries")
-    neg = np.where(mask, a.values, -np.inf)
-    shifted = neg - neg.max(axis=axis, keepdims=True)
-    ex = np.where(mask, np.exp(shifted), 0.0)
-    out_vals = ex / ex.sum(axis=axis, keepdims=True)
+    out_vals = np.where(np.broadcast_to(mask, a.values.shape), a.values, -np.inf)
+    out_vals -= out_vals.max(axis=axis, keepdims=True)
+    np.exp(out_vals, out=out_vals)   # exp(-inf) is exactly 0
+    out_vals /= out_vals.sum(axis=axis, keepdims=True)
 
     def bw(g):
         dot = (g * out_vals).sum(axis=axis, keepdims=True)

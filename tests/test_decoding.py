@@ -187,6 +187,16 @@ class TestSolvePolicies:
             p = D.solve(inst, params, cfg, policy="pomo")
             assert p.cost <= g.cost + 1e-9
 
+    def test_pomo_aug_matches_best_single_augmentation(self):
+        cfg = _toy(Variant.VRPTW)
+        params = M.init_params(cfg, seed=3)
+        inst = generate(Variant.VRPTW, 12, seed=4)
+        sol = D.solve(inst, params, cfg, policy="pomo-aug")
+        best = min(D.batch_rollout([aug], params, cfg, 12, "greedy",
+                                   force_first=True).costs.min()
+                   for aug in D.augment8(inst))
+        assert abs(sol.cost - best) <= 1e-9
+
     def test_unknown_policy(self):
         cfg = _toy()
         params = M.init_params(cfg)

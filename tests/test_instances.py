@@ -1,5 +1,7 @@
 """Tests for instance generation, serialization, and parsing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,15 @@ class TestSerialization:
                                      '"format_version": 9')
         with pytest.raises(ValueError):
             Instance.from_json(bad)
+
+    def test_empty_customer_set_rejected(self):
+        inst = generate(Variant.VRP, 5, seed=0)
+        empty = dataclasses.replace(inst, customers=np.zeros((0, 2)),
+                                    demands=np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match="customer set is empty"):
+            empty.validate()
+        with pytest.raises(ValueError, match="customer set is empty"):
+            Instance.from_json(empty.to_json())
 
 
 CVRPLIB_SAMPLE = """NAME : tiny-4

@@ -1,5 +1,7 @@
 """Tests for the encoder/decoder model components."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -261,13 +263,45 @@ class TestDecoder:
         cur = np.full(t_cnt, opt_node)
         with_heat = M.decode_step(expanded, params, cfg, cur,
                                   np.ones(t_cnt), np.ones(t_cnt), allowed)
-        no_heat = M.ExpandedCache(
-            traj_instance=expanded.traj_instance, h_flat=expanded.h_flat,
-            k_g=expanded.k_g, v_g=expanded.v_g, k_l=expanded.k_l,
-            heat_flat=None, n_dc=expanded.n_dc, n_total=expanded.n_total)
+        no_heat = dataclasses.replace(expanded, heat_flat=None)
         without = M.decode_step(no_heat, params, cfg, cur,
                                 np.ones(t_cnt), np.ones(t_cnt), allowed)
         assert np.allclose(with_heat.values, without.values)
+
+    def test_instance_rows_independent_of_batch(self):
+        # B=2, P=3 grouped rows equal each instance decoded on its own, on a
+        # variant with a heatmap and optional nodes
+        cfg, params, batch, expanded, traj = self._setup(Variant.EVRPCS)
+        t_cnt, n_total = len(traj), batch[0].n_nodes
+        rng = np.random.default_rng(7)
+        allowed = rng.random((t_cnt, n_total)) < 0.6
+        allowed[:, 1] = True
+        cur = np.array([0, 3, n_total - 1, 5, 0, n_total - 2])
+        cap, xi = rng.random(t_cnt), rng.random(t_cnt)
+        term = rng.normal(size=(t_cnt, n_total))
+        both = M.decode_step(expanded, params, cfg, cur, cap, xi, allowed,
+                             opt_term=term).values
+        from neurovrp.decoding import build_cache
+        for b, inst in enumerate(batch):
+            rows = slice(3 * b, 3 * b + 3)
+            alone = M.expand_cache(build_cache([inst], params, cfg),
+                                   np.zeros(3, dtype=np.int64), cfg)
+            one = M.decode_step(alone, params, cfg, cur[rows], cap[rows],
+                                xi[rows], allowed[rows], opt_term=term[rows])
+            assert np.abs(one.values - both[rows]).max() <= 1e-12
+
+    @pytest.mark.parametrize("traj", [np.array([0, 1, 0, 1, 0, 1]),
+                                      np.array([0, 0, 0, 1, 1]),
+                                      np.array([1, 1, 1, 0, 0, 0]),
+                                      np.array([0])])
+    def test_expand_rejects_ungrouped_trajectories(self, traj):
+        cfg = _toy()
+        params = M.init_params(cfg, seed=5)
+        batch = [generate(Variant.VRP, 6, seed=s) for s in range(2)]
+        from neurovrp.decoding import build_cache
+        cache = build_cache(batch, params, cfg)
+        with pytest.raises(ValueError, match="traj_instance"):
+            M.expand_cache(cache, traj, cfg)
 
     def test_logit_clip_bounds_sequential_logits(self):
         # with zero heat, fused logits live in [-C, C]; probabilities over

@@ -77,6 +77,21 @@ class TestShapeAndIndexing:
         expected[3] = 1.0
         assert np.allclose(a.grad, expected)
 
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_take_grad_matches_row_loop(self, axis):
+        a = _leaf((5, 4, 3))
+        idx = np.array([[3, 0, 3], [1, 3, 3]])
+        out = T.take(a, idx, axis=axis)
+        g = np.random.default_rng(2).normal(size=out.shape)
+        T.tsum(out * Tensor(g)).backward()
+        expected = np.zeros((5, 4, 3))
+        exp_moved = np.moveaxis(expected, axis, 0)
+        g_moved = np.moveaxis(g, (axis, axis + 1), (0, 1))
+        for i in range(idx.shape[0]):
+            for j in range(idx.shape[1]):
+                exp_moved[idx[i, j]] += g_moved[i, j]
+        assert np.allclose(a.grad, expected, rtol=0, atol=1e-14)
+
     def test_take_along_matches_numpy(self):
         a = _leaf((3, 5))
         idx = np.array([[0], [4], [2]])
