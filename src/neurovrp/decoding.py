@@ -3,7 +3,8 @@
 The runner advances many trajectories at once over a batch of same-sized
 instances. Its state transitions mirror the scalar environment exactly
 (there is a test pinning that), which is what makes training-speed
-batching safe.
+batching safe. A rollout's log-probability is one log of its stacked
+(steps, T) chosen probabilities.
 """
 
 from __future__ import annotations
@@ -281,22 +282,6 @@ def build_cache(batch: list[Instance], params: dict[str, Tensor],
     return M.build_decode_cache(h, h_opt, heat, params)
 
 
-def pomo_first_actions(ctx: RolloutContext, pomo_size: int) -> np.ndarray:
-    """Distinct forced first customers per instance, skipping infeasible ones."""
-    batch = ctx.batch
-    state = init_batch_state(batch, pomo_size)
-    sel = batch_feasible(state, ctx)
-    n = batch[0].n_customers
-    first = np.zeros(len(state.current), dtype=np.int64)
-    for b in range(len(batch)):
-        rows = np.arange(b * pomo_size, (b + 1) * pomo_size)
-        feas = np.flatnonzero(sel[rows[0], 1:n + 1]) + 1
-        if len(feas) == 0:
-            raise AssertionError("no feasible first customer")
-        first[rows] = feas[np.arange(pomo_size) % len(feas)]
-    return first
-
-
 def batch_rollout(batch: list[Instance], params: dict[str, Tensor],
                   config: ModelConfig, pomo_size: int = 1,
                   mode: str = "greedy",
@@ -309,8 +294,9 @@ def batch_rollout(batch: list[Instance], params: dict[str, Tensor],
     """Decode pomo_size trajectories per instance to completion.
 
     mode is "greedy" (argmax) or "sample" (requires rng). With
-    force_first, trajectory k of every instance is pinned to a distinct
-    first customer (multi-start decoding).
+    force_first, trajectory p of every instance starts at the p-th
+    customer its step-0 mask allows, cycling when pomo_size exceeds their
+    count (multi-start decoding).
     """
     if mode not in ("greedy", "sample"):
         raise ValueError(f"unknown decode mode {mode!r}")
@@ -323,15 +309,11 @@ def batch_rollout(batch: list[Instance], params: dict[str, Tensor],
         cache = build_cache(batch, params, config, tau, gumbel_rng)
     state = init_batch_state(batch, pomo_size)
     t_cnt = len(state.current)
+    n_cust, n_total = inst.n_customers, inst.n_nodes
     expanded = M.expand_cache(cache, state.traj_instance, config)
-    log_terms: list[Tensor] = []
+    picked: list[Tensor] = []   # (1, T) chosen probabilities per step
 
-    forced = None
-    if force_first:
-        forced = pomo_first_actions(ctx, pomo_size)
-
-    max_steps = 200 * inst.n_nodes
-    for step_i in range(max_steps):
+    for step_i in range(200 * n_total):
         if state.done.all():
             break
         sel = batch_feasible(state, ctx, restrict_optional=True)
@@ -340,29 +322,34 @@ def batch_rollout(batch: list[Instance], params: dict[str, Tensor],
                               state.current, cap, xi, sel,
                               _optional_logit_term(state, batch))
         pv = probs.values
-        if step_i == 0 and forced is not None:
-            acts = forced
+        if step_i == 0 and force_first:
+            # the k-th allowed customer, k = p mod their count
+            cust = sel[:, 1:n_cust + 1]
+            count = cust.sum(axis=1)
+            if not count.all():
+                raise AssertionError("no feasible first customer")
+            k = np.arange(t_cnt) % pomo_size % count
+            acts = 1 + (cust.cumsum(axis=1) > k[:, None]).argmax(axis=1)
         elif mode == "greedy":
             acts = pv.argmax(axis=1)
         else:
             cum = pv.cumsum(axis=1)
             u = rng.random((t_cnt, 1)) * cum[:, -1:]
             acts = (u > cum).sum(axis=1)
-        acts = np.asarray(acts, dtype=np.int64)
         if not sel[np.arange(t_cnt), acts].all():
             raise AssertionError("policy picked a masked action")
         if collect_log_probs:
-            picked = T.take_along(probs, acts[:, None], axis=1)
-            step_lp = T.log(picked) * Tensor(~state.done[:, None] * 1.0)
-            log_terms.append(T.reshape(step_lp, (t_cnt,)))
+            # finished rows allow only the depot: probability exactly 1,
+            # so their log and its gradient are exactly 0
+            picked.append(T.take(T.reshape(probs, (t_cnt * n_total,)),
+                                 (np.arange(t_cnt) * n_total + acts)[None]))
         batch_step(state, acts, ctx)
     else:
         raise RuntimeError("batched rollout exceeded step cap")
 
     log_probs = None
     if collect_log_probs:
-        stacked = T.concat([T.reshape(t, (1, t_cnt)) for t in log_terms], axis=0)
-        log_probs = T.reshape(T.tsum(stacked, axis=0), (t_cnt,))
+        log_probs = T.tsum(T.log(T.concat(picked, axis=0)), axis=0)
     return RolloutResult(actions=state.actions, costs=state.cost.copy(),
                          traj_instance=state.traj_instance,
                          log_probs=log_probs)

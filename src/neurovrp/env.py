@@ -218,11 +218,10 @@ def solution_cost(instance: Instance, actions: list[int],
 
 
 def random_rollout(instance: Instance, dist: DistanceMatrix,
-                   rng: np.random.Generator,
-                   max_steps: int | None = None) -> Solution:
+                   rng: np.random.Generator) -> Solution:
     """Follow a uniform random mask-allowed policy to termination."""
     state = init_state(instance)
-    cap = max_steps or 200 * instance.n_nodes
+    cap = 200 * instance.n_nodes
     while not is_terminal(state, instance):
         if state.step_count > cap:
             raise RuntimeError("random rollout exceeded step cap")

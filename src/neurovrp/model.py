@@ -189,10 +189,9 @@ def encode(batch: list[Instance], params: dict[str, Tensor],
 
 # -- optional-node pathway ----------------------------------------------
 
-def gumbel_tau(epoch: int, start: float = 1.0, decay: float = 0.99,
-               floor: float = 0.2) -> float:
-    """Annealing schedule for the optional-node fusion temperature."""
-    return max(floor, start * decay ** epoch)
+def gumbel_tau(epoch: int) -> float:
+    """Optional-node fusion temperature: 0.99 ** epoch, floored at 0.2."""
+    return max(0.2, 0.99 ** epoch)
 
 
 def encode_optional(batch: list[Instance], params: dict[str, Tensor],
@@ -243,6 +242,7 @@ class EdgeSet:
     """K-nearest-neighbor directed edges among depot + customers."""
     neighbors: np.ndarray   # (B, N, K) target node index
     features: np.ndarray    # (B, N, K, 3): forward, reverse, difference
+    n_total: int            # node count incl. optional nodes
 
     @property
     def k(self) -> int:
@@ -263,7 +263,8 @@ def build_edge_set(batch: list[Instance], config: ModelConfig) -> EdgeSet:
         rev = d.T[np.arange(n_dc)[:, None], nb]
         nbrs.append(nb)
         feats.append(np.stack([fwd, rev, fwd - rev], axis=-1))
-    return EdgeSet(neighbors=np.stack(nbrs), features=np.stack(feats))
+    return EdgeSet(neighbors=np.stack(nbrs), features=np.stack(feats),
+                   n_total=batch[0].n_nodes)
 
 
 def edge_embed(h: Tensor, edges: EdgeSet, params: dict[str, Tensor]) -> Tensor:
@@ -290,30 +291,30 @@ def edge_embed(h: Tensor, edges: EdgeSet, params: dict[str, Tensor]) -> Tensor:
 
 
 def heatmap(h_e: Tensor, edges: EdgeSet, params: dict[str, Tensor]) -> Tensor:
-    """Static transition-preference matrix: tanh(MLP(edge)) on stored edges,
-    zero for pairs outside the kNN edge set: (B, N, N)."""
+    """Static transition preferences, (B, N_total, N_total): tanh(MLP(edge))
+    on kNN edges, zero elsewhere, so on optional-node rows and columns too."""
     bsz, n_dc, k, de = h_e.shape
+    nt = edges.n_total
     x = T.silu(h_e @ params["edge.mlp.w1"] + params["edge.mlp.b1"])
     x = T.silu(x @ params["edge.mlp.w2"] + params["edge.mlp.b2"])
     vals = T.tanh(x @ params["edge.mlp.w3"] + params["edge.mlp.b3"])
     vals = T.reshape(vals, (bsz, n_dc, k))
     b_idx = np.arange(bsz)[:, None, None]
     i_idx = np.arange(n_dc)[None, :, None]
-    flat = (b_idx * n_dc * n_dc + i_idx * n_dc + edges.neighbors).ravel()
-    return T.scatter(vals, flat, (bsz, n_dc, n_dc))
+    flat = (b_idx * nt * nt + i_idx * nt + edges.neighbors).ravel()
+    return T.scatter(vals, flat, (bsz, nt, nt))
 
 
 # -- decoder ------------------------------------------------------------
 
 @dataclass
 class DecodeCache:
-    """Per-instance projections computed once before stepping."""
+    """Per-instance projections over all N_total nodes, computed once."""
     h_nodes: Tensor      # (B, N_total, d) embeddings incl. optional nodes
     k_glimpse: Tensor
     v_glimpse: Tensor
     k_logit: Tensor
-    heat: Tensor | None  # (B, N_dc, N_dc)
-    n_dc: int
+    heat: Tensor | None  # (B, N_total, N_total), 0 on optional rows/cols
 
 
 def build_decode_cache(h_dc: Tensor, h_opt: Tensor | None,
@@ -326,7 +327,6 @@ def build_decode_cache(h_dc: Tensor, h_opt: Tensor | None,
         v_glimpse=h_nodes @ params["dec.wv_g"],
         k_logit=h_nodes @ params["dec.wk_l"],
         heat=heat,
-        n_dc=h_dc.shape[1],
     )
 
 
@@ -338,7 +338,7 @@ def concat_caches(caches: list[DecodeCache]) -> DecodeCache:
 
     return DecodeCache(h_nodes=cat("h_nodes"), k_glimpse=cat("k_glimpse"),
                        v_glimpse=cat("v_glimpse"), k_logit=cat("k_logit"),
-                       heat=cat("heat"), n_dc=caches[0].n_dc)
+                       heat=cat("heat"))
 
 
 @dataclass
@@ -347,15 +347,15 @@ class ExpandedCache:
 
     Row t = b*P + p is trajectory p of instance b (the POMO layout). Keys
     stay per instance and each step broadcasts an instance's P queries
-    against them, so nothing is copied per trajectory.
+    against them, so nothing is copied per trajectory. One flat index
+    b*N + current gathers a trajectory's h_flat and heat_flat rows.
     """
     traj_instance: np.ndarray  # (T,) np.repeat(arange(B), P)
     h_flat: Tensor       # (B*N, d) for current-node gathers
     k_g: Tensor          # (B, heads, N, dh)
     v_g: Tensor          # (B, heads, N, dh)
     k_l: Tensor          # (B, d, N)
-    heat_flat: Tensor | None   # (B*N_dc, N_dc)
-    n_dc: int
+    heat_flat: Tensor | None   # (B*N, N) heat rows, gathered like h_flat
     n_total: int
 
 
@@ -384,8 +384,7 @@ def expand_cache(cache: DecodeCache, traj_instance: np.ndarray,
         v_g=split_heads(cache.v_glimpse),
         k_l=T.swapaxes(cache.k_logit, 1, 2),
         heat_flat=None if cache.heat is None
-        else T.reshape(cache.heat, (bsz * cache.n_dc, cache.n_dc)),
-        n_dc=cache.n_dc,
+        else T.reshape(cache.heat, (bsz * n_total, n_total)),
         n_total=n_total,
     )
 
@@ -407,9 +406,8 @@ def decode_step(cache: ExpandedCache, params: dict[str, Tensor],
     dh = d // heads
     bsz = cache.k_g.shape[0]
     pomo = t_cnt // bsz
-    traj_instance = cache.traj_instance
 
-    flat_idx = traj_instance * n_total + current
+    flat_idx = cache.traj_instance * n_total + current
     h_t = T.take(cache.h_flat, flat_idx, axis=0)
     ctx = T.concat([h_t, Tensor(cap_frac[:, None]), Tensor(xi[:, None])], axis=1)
     q = ctx @ params["dec.ctx.w"]
@@ -425,15 +423,7 @@ def decode_step(cache: ExpandedCache, params: dict[str, Tensor],
     logits = T.tanh(logits * (1 / math.sqrt(d))) * LOGIT_CLIP
 
     if cache.heat_flat is not None:
-        n_dc = cache.n_dc
-        on_dc = current < n_dc
-        safe_cur = np.where(on_dc, current, 0)
-        rows = T.take(cache.heat_flat, traj_instance * n_dc + safe_cur, axis=0)
-        rows = rows * Tensor(on_dc.astype(float)[:, None])
-        if n_total > n_dc:
-            pad = Tensor(np.zeros((t_cnt, n_total - n_dc)))
-            rows = T.concat([rows, pad], axis=1)
-        logits = logits + rows
+        logits = logits + T.take(cache.heat_flat, flat_idx, axis=0)
     if opt_term is not None:
         logits = logits + Tensor(opt_term)
 

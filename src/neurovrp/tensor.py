@@ -262,22 +262,6 @@ def take(a: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
     return Tensor(out_vals, _parents=(a,), _backward=bw)
 
 
-def take_along(a: Tensor, indices: np.ndarray, axis: int = -1) -> Tensor:
-    """np.take_along_axis semantics for per-row selection."""
-    idx = np.asarray(indices)
-    out_vals = np.take_along_axis(a.values, idx, axis=axis)
-
-    def bw(g):
-        acc = np.zeros_like(a.values)
-        ax = axis % a.values.ndim
-        grids = list(np.meshgrid(*[np.arange(s) for s in idx.shape], indexing="ij"))
-        grids[ax] = idx
-        np.add.at(acc, tuple(grids), g)
-        a._accumulate(acc)
-
-    return Tensor(out_vals, _parents=(a,), _backward=bw)
-
-
 def scatter(values: Tensor, indices: np.ndarray, out_shape: tuple) -> Tensor:
     """Scatter-add flat `values` into a zero array of `out_shape`.
 

@@ -84,8 +84,7 @@ class Adam:
         return norm
 
 
-def pomo_loss(log_probs: Tensor, costs: np.ndarray,
-              traj_instance: np.ndarray, pomo_size: int) -> Tensor:
+def pomo_loss(log_probs: Tensor, costs: np.ndarray, pomo_size: int) -> Tensor:
     """Shared-baseline policy gradient surrogate.
 
     The advantage of each trajectory is its cost minus the mean cost of
@@ -101,20 +100,19 @@ def pomo_loss(log_probs: Tensor, costs: np.ndarray,
     return T.mean(log_probs * Tensor(adv))
 
 
-def make_validation_set(config: TrainConfig, model_cfg: ModelConfig,
-                        seed_offset: int = 10_000) -> list[Instance]:
+def make_validation_set(config: TrainConfig,
+                        model_cfg: ModelConfig) -> list[Instance]:
     return [generate(model_cfg.variant, config.n_customers,
-                     seed=seed_offset + i, config=config.gen)
+                     seed=10_000 + i, config=config.gen)
             for i in range(config.val_size)]
 
 
 def greedy_validation_cost(val_set: list[Instance], params: dict[str, Tensor],
-                           model_cfg: ModelConfig,
-                           batch_size: int = 16) -> float:
+                           model_cfg: ModelConfig) -> float:
     detached = {k: v.detach() for k, v in params.items()}
     costs = []
-    for i in range(0, len(val_set), batch_size):
-        res = batch_rollout(val_set[i:i + batch_size], detached, model_cfg,
+    for i in range(0, len(val_set), 16):
+        res = batch_rollout(val_set[i:i + 16], detached, model_cfg,
                             pomo_size=1, mode="greedy")
         costs.extend(res.costs.tolist())
     return float(np.mean(costs))
@@ -152,8 +150,7 @@ def train(config: TrainConfig, model_cfg: ModelConfig,
                                 rng=sample_rng, tau=tau,
                                 gumbel_rng=gumbel_rng if has_optional else None,
                                 collect_log_probs=True, force_first=True)
-            loss = pomo_loss(res.log_probs, res.costs, res.traj_instance,
-                             config.pomo_size)
+            loss = pomo_loss(res.log_probs, res.costs, config.pomo_size)
             if not np.isfinite(loss.values):
                 raise FloatingPointError(
                     f"non-finite loss at epoch {epoch}; aborting")

@@ -116,15 +116,15 @@ class TestGradientCorrectness:
                 acts = np.array(
                     [recorded.actions[t][s] if s < len(recorded.actions[t])
                      else 0 for t in range(t_cnt)], dtype=np.int64)
-                picked = T.take_along(probs, acts[:, None], axis=1)
+                picked = T.take(T.reshape(probs, (-1,)),
+                                (np.arange(t_cnt) * probs.shape[1] + acts)[:, None])
                 live = Tensor(~state.done[:, None] * 1.0)
                 log_terms.append(T.reshape(T.log(picked) * live, (t_cnt,)))
                 D.batch_step(state, acts, ctx)
             stacked = T.concat([T.reshape(t, (1, t_cnt)) for t in log_terms],
                                axis=0)
             log_probs = T.reshape(T.tsum(stacked, axis=0), (t_cnt,))
-            return TR.pomo_loss(log_probs, recorded.costs,
-                                recorded.traj_instance, pomo)
+            return TR.pomo_loss(log_probs, recorded.costs, pomo)
 
         err = finite_diff_check(replay_loss, params.values(), count=120,
                                 rng=np.random.default_rng(1))

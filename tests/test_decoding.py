@@ -117,6 +117,16 @@ class TestRollout:
             firsts = [res.actions[b * 6 + k][1] for k in range(6)]
             assert sorted(firsts) == [1, 2, 3, 4, 5, 6]
 
+    def test_forced_first_actions_cycle_when_pomo_exceeds_customers(self):
+        cfg = _toy()
+        params = M.init_params(cfg, seed=1)
+        batch = [generate(Variant.VRP, 3, seed=s) for s in range(2)]
+        res = D.batch_rollout(batch, params, cfg, pomo_size=7, mode="greedy",
+                              force_first=True)
+        for b in range(2):
+            firsts = [res.actions[b * 7 + k][1] for k in range(7)]
+            assert firsts == [1, 2, 3, 1, 2, 3, 1]
+
     def test_log_probs_are_negative_totals(self):
         cfg = _toy()
         params = M.init_params(cfg, seed=0)

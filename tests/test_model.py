@@ -187,6 +187,19 @@ class TestEdgesAndHeatmap:
         # exactly k entries per row are (generically) nonzero
         assert ((heat.values != 0).sum(axis=2) == 3).all()
 
+    def test_heat_spans_all_nodes_zero_on_optional(self):
+        cfg = _toy(Variant.EVRPCS)
+        params = M.init_params(cfg, seed=3)
+        batch = [generate(Variant.EVRPCS, 7, seed=s,
+                          config=GenConfig(n_stations=2)) for s in range(2)]
+        from neurovrp.decoding import build_cache
+        heat = build_cache(batch, params, cfg).heat.values
+        n_dc, n_total = 8, batch[0].n_nodes
+        assert heat.shape == (2, n_total, n_total)
+        assert (heat[:, n_dc:, :] == 0.0).all()
+        assert (heat[:, :, n_dc:] == 0.0).all()
+        assert (heat[:, :n_dc, :n_dc] != 0.0).any()
+
     def test_heatmap_gradients_reach_edge_params(self):
         cfg = _toy()
         params = M.init_params(cfg, seed=4)

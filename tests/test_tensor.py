@@ -92,15 +92,6 @@ class TestShapeAndIndexing:
                 exp_moved[idx[i, j]] += g_moved[i, j]
         assert np.allclose(a.grad, expected, rtol=0, atol=1e-14)
 
-    def test_take_along_matches_numpy(self):
-        a = _leaf((3, 5))
-        idx = np.array([[0], [4], [2]])
-        out = T.take_along(a, idx, axis=1)
-        assert np.allclose(out.values, np.take_along_axis(a.values, idx, axis=1))
-        err = T.finite_diff_check(
-            lambda: T.tsum(T.take_along(a, idx, axis=1) * 3.0), [a], count=15)
-        assert err < 1e-6
-
     def test_scatter_forward_and_grad(self):
         v = _leaf((4,))
         idx = np.array([0, 5, 5, 2])
@@ -158,6 +149,17 @@ class TestMaskedSoftmax:
         allowed = np.array([[True, True, True], [False, False, False]])
         with pytest.raises(ValueError):
             T.masked_softmax(a, allowed)
+
+    def test_single_allowed_entry_has_exact_zero_log_and_gradient(self):
+        # a finished rollout row: only one entry allowed
+        a = _leaf((1, 5), scale=3.0)
+        allowed = np.array([[False, False, True, False, False]])
+        probs = T.masked_softmax(a, allowed)
+        assert probs.values[0, 2] == 1.0
+        log_p = T.log(T.take(T.reshape(probs, (-1,)), np.array([2])))
+        assert log_p.values[0] == 0.0
+        T.tsum(log_p * -3.7).backward()
+        assert (a.grad == 0.0).all()
 
     def test_gradient(self):
         a = _leaf((3, 4), scale=2.0)

@@ -64,14 +64,14 @@ class TestPomoLoss:
     def test_baseline_centers_advantages(self):
         lp = Tensor(np.array([-1.0, -2.0, -3.0, -4.0]), requires_grad=True)
         costs = np.array([10.0, 12.0, 20.0, 22.0])   # two instances, pomo 2
-        loss = TR.pomo_loss(lp, costs, np.array([0, 0, 1, 1]), pomo_size=2)
+        loss = TR.pomo_loss(lp, costs, pomo_size=2)
         # advantages: [-1, 1, -1, 1]
         expected = np.mean([-1.0 * -1, -2.0 * 1, -3.0 * -1, -4.0 * 1])
         assert np.isclose(loss.values, expected)
 
     def test_equal_costs_give_zero_loss_and_grad(self):
         lp = Tensor(np.array([-1.0, -2.0]), requires_grad=True)
-        loss = TR.pomo_loss(lp, np.array([5.0, 5.0]), np.array([0, 0]), 2)
+        loss = TR.pomo_loss(lp, np.array([5.0, 5.0]), 2)
         assert loss.values == 0.0
         loss.backward()
         assert np.allclose(lp.grad, 0.0)
@@ -79,7 +79,7 @@ class TestPomoLoss:
     def test_pomo_size_one_rejected(self):
         lp = Tensor(np.array([-1.0]), requires_grad=True)
         with pytest.raises(ValueError):
-            TR.pomo_loss(lp, np.array([5.0]), np.array([0]), 1)
+            TR.pomo_loss(lp, np.array([5.0]), 1)
 
 
 class TestTrainLoop:
