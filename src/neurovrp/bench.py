@@ -80,11 +80,8 @@ class BenchReport:
 
 
 def _config_hash(config: ModelConfig, policy: str, seed: int) -> str:
-    doc = json.dumps({**{k: getattr(config, k) for k in
-                         ("variant", "d", "heads", "layers", "ff", "edge_dim",
-                          "k_neighbors", "cluster_size", "rounds", "smoothing")},
-                      "policy": policy, "seed": seed},
-                     sort_keys=True, default=str)
+    doc = json.dumps({**config.to_dict(), "policy": policy, "seed": seed},
+                     sort_keys=True)
     return hashlib.sha256(doc.encode()).hexdigest()[:16]
 
 

@@ -54,6 +54,7 @@ class RolloutContext:
     """Static per-batch arrays shared by every step of a rollout."""
     batch: list[Instance]
     dists: np.ndarray                # (B, N, N)
+    to_depot: np.ndarray             # (B, N) return leg from each node
     demands: np.ndarray              # (B, n)
     facility: np.ndarray | None      # (B, N) nearest depot-or-station
     windows: tuple[np.ndarray, np.ndarray, np.ndarray] | None
@@ -77,6 +78,7 @@ def make_context(batch: list[Instance]) -> RolloutContext:
         s_full[:, 1:n + 1] = np.stack([i.time_windows.service for i in batch])
         windows = (e, l, s_full)
     return RolloutContext(batch=batch, dists=dists,
+                          to_depot=dists[:, :, DEPOT].copy(),
                           demands=np.stack([i.demands for i in batch]),
                           facility=facility, windows=windows)
 
@@ -130,7 +132,7 @@ def batch_feasible(state: BatchState, ctx: RolloutContext,
         near = ctx.facility[b]                 # (T, total)
         ok &= state.resource[:, None] >= d_cur[:, 1:n + 1] + near[:, 1:n + 1]
     elif variant == Variant.VRPRS:
-        d_home = dists[b][:, 1:n + 1, DEPOT]
+        d_home = ctx.to_depot[b, 1:n + 1]
         ok &= state.resource[:, None] >= d_cur[:, 1:n + 1] + d_home
     elif variant == Variant.VRPTW:
         e, l, s_full = ctx.windows
@@ -138,7 +140,7 @@ def batch_feasible(state: BatchState, ctx: RolloutContext,
         s_cur = s_full[b, state.current]
         arrive = np.maximum(state.time[:, None] + s_cur[:, None]
                             + d_cur[:, 1:n + 1], e[b])
-        d_home = dists[b][:, 1:n + 1, DEPOT]
+        d_home = ctx.to_depot[b, 1:n + 1]
         ok &= arrive <= l[b]
         ok &= arrive + s_full[b, 1:n + 1] + d_home <= horizon
     sel[:, 1:n + 1] = ok
@@ -160,7 +162,7 @@ def batch_feasible(state: BatchState, ctx: RolloutContext,
             state.current[:, None] != opt[None, :]
     elif variant == Variant.VRPRS:
         opt = np.arange(n + 1, total)
-        d_home = dists[b][:, opt, DEPOT]
+        d_home = ctx.to_depot[b, n + 1:]
         sel[:, opt] = state.resource[:, None] >= d_cur[:, opt] + d_home
         sel[np.arange(t_cnt)[:, None], opt[None, :]] &= \
             state.current[:, None] != opt[None, :]
@@ -404,6 +406,10 @@ def solve(instance: Instance, params: dict[str, Tensor], config: ModelConfig,
     policy: "greedy", "sampling", "pomo", or "pomo-aug" (multi-start over
     the 8 augmentations; unavailable for explicit-matrix variants).
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if pomo_size is not None and pomo_size < 1:
+        raise ValueError(f"pomo_size must be >= 1, got {pomo_size}")
     params = _detached(params)
     n = instance.n_customers
     pomo = pomo_size or n

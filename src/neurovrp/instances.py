@@ -98,21 +98,46 @@ class Instance:
                           self.optional_nodes])
 
     def validate(self) -> None:
-        if self.n_customers == 0:
+        n = self.n_customers
+        if n == 0:
             raise ValueError("customer set is empty: an instance needs at "
                              "least one customer")
+        tw = self.time_windows
+        shapes = {"depot": (self.depot, (2,)),
+                  "customers": (self.customers, (n, 2)),
+                  "demands": (self.demands, (n,)),
+                  "optional_nodes": (self.optional_nodes, (self.n_optional, 2))}
+        if tw is not None:
+            shapes.update({f"time_windows.{k}": (getattr(tw, k), (n,))
+                           for k in ("earliest", "latest", "service")})
+        for name, (a, shape) in shapes.items():
+            if np.shape(a) != shape:
+                raise ValueError(f"{name} has shape {np.shape(a)}, "
+                                 f"expected {shape}")
         coords = self.coords()
+        if not np.isfinite(coords).all():
+            raise ValueError("coordinates must be finite")
         if coords.min() < -1e-9 or coords.max() > 1.0 + 1e-9:
             raise ValueError("coordinates outside [0,1]^2")
         if self.capacity <= 0:
             raise ValueError("capacity must be positive")
         if np.any(self.demands < 1):
             raise ValueError("demands must be positive integers")
+        if np.any(self.demands > self.capacity):
+            raise ValueError(f"demands must not exceed capacity "
+                             f"{self.capacity}, max is {self.demands.max()}")
+        if not np.isfinite(self.resource_max) or (
+                self.variant in (Variant.EVRPCS, Variant.VRPRS)
+                and self.resource_max <= 0):
+            raise ValueError(f"resource_max must be finite, and positive for "
+                             f"EVRPCS/VRPRS; got {self.resource_max}")
         if self.variant == Variant.AVRP:
             if self.asym_matrix is None:
                 raise ValueError("AVRP instance requires asym_matrix")
             if self.asym_matrix.shape != (self.n_nodes, self.n_nodes):
                 raise ValueError("asym_matrix shape mismatch")
+            if not np.isfinite(self.asym_matrix).all():
+                raise ValueError("asym_matrix must be finite")
             if np.any(np.diag(self.asym_matrix) != 0.0):
                 raise ValueError("asym_matrix diagonal must be zero")
         elif self.asym_matrix is not None:
@@ -121,6 +146,9 @@ class Instance:
             tw = self.time_windows
             if tw is None:
                 raise ValueError("VRPTW instance requires time windows")
+            if not (np.isfinite([tw.earliest, tw.latest, tw.service]).all()
+                    and np.isfinite(tw.horizon)):
+                raise ValueError("time windows and horizon must be finite")
             if np.any(tw.earliest > tw.latest):
                 raise ValueError("time window with e > l")
             if np.any(tw.earliest < 0) or np.any(tw.latest > tw.horizon):
@@ -162,13 +190,16 @@ class Instance:
             t = doc["time_windows"]
             tw = TimeWindows(np.array(t["earliest"]), np.array(t["latest"]),
                              np.array(t["service"]), float(t["horizon"]))
+        demands = np.array(doc["demands"], dtype=float)
+        if not np.all(np.isfinite(demands) & (np.floor(demands) == demands)):
+            raise ValueError("demands must be integers")
         inst = cls(
             variant=Variant(doc["variant"]),
             depot=np.array(doc["depot"]),
-            customers=np.array(doc["customers"]).reshape(-1, 2),
-            demands=np.array(doc["demands"], dtype=np.int64),
+            customers=np.array(doc["customers"]),
+            demands=demands.astype(np.int64),
             capacity=int(doc["capacity"]),
-            optional_nodes=np.array(doc["optional_nodes"]).reshape(-1, 2),
+            optional_nodes=np.array(doc["optional_nodes"] or np.zeros((0, 2))),
             resource_max=float(doc["resource_max"]),
             time_windows=tw,
             asym_matrix=(np.array(doc["asym_matrix"])

@@ -10,7 +10,9 @@ keeps the op count small enough for CPU training.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import asdict, dataclass, fields
+from enum import Enum
 
 import numpy as np
 
@@ -52,6 +54,46 @@ class ModelConfig:
     def full_scale(cls, variant: Variant = Variant.VRP) -> "ModelConfig":
         return cls(variant=variant, d=128, heads=8, layers=6, ff=512,
                    edge_dim=32, k_neighbors=50)
+
+    def to_dict(self) -> dict:
+        """Every field as a JSON value; the variant as its name."""
+        return {**asdict(self), "variant": self.variant.value}
+
+    @classmethod
+    def from_dict(cls, doc) -> "ModelConfig":
+        """Inverse of to_dict. An unknown, missing or mistyped key raises
+        ValueError naming the field."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"model config must be an object of fields, "
+                             f"got {type(doc).__name__}")
+        hints = typing.get_type_hints(cls)
+        unknown = sorted(set(doc) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown model config field(s) {unknown}")
+        for f in fields(cls):
+            if f.name not in doc:
+                raise ValueError(f"model config field {f.name!r} is missing")
+            if not _fits(doc[f.name], hints[f.name]):
+                raise ValueError(f"model config field {f.name!r} must be "
+                                 f"{f.type}, got {doc[f.name]!r}")
+        return cls(**doc)
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the annotated type (an Enum by value;
+    bool is not an int here)."""
+    for t in typing.get_args(hint) or (hint,):
+        if t is type(None):
+            ok = value is None
+        elif issubclass(t, Enum):
+            ok = value in {m.value for m in t}
+        elif t is int:
+            ok = isinstance(value, int) and not isinstance(value, bool)
+        else:
+            ok = isinstance(value, t)
+        if ok:
+            return True
+    return False
 
 
 def customer_feature_dim(variant: Variant) -> int:

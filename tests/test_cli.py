@@ -4,8 +4,12 @@ import json
 
 import pytest
 
+from neurovrp import cli
 from neurovrp.cli import main
 from neurovrp.instances import Instance, Variant, generate
+from neurovrp.model import ModelConfig, init_params
+from neurovrp.oracle import OracleLimits
+from neurovrp.training import TrainConfig
 
 
 @pytest.fixture()
@@ -67,7 +71,42 @@ class TestGen:
             main(["gen", "--config", str(cfg), "--out", str(workdir / "x")])
 
 
+    @pytest.mark.parametrize("doc, flag", [
+        ({"n": "five"}, "--n"), ({"variant": "TSP"}, "--variant"),
+        ({"stations": 2.5}, "--stations")], ids=["n", "variant", "stations"])
+    def test_mistyped_config_value_rejected(self, workdir, capsys, doc, flag):
+        cfg = workdir / "gen.json"
+        cfg.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit):
+            main(["gen", "--config", str(cfg), "--out", str(workdir / "x")])
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not (workdir / "x").exists()
+
+    @pytest.mark.parametrize("doc, match", [
+        ([{"n": 5}], "must be a JSON object"),
+        ({"n": 5, "banana": 1}, r"unknown keys: \['banana'\]")],
+        ids=["not-an-object", "unknown-key"])
+    def test_malformed_config_file_rejected(self, workdir, doc, match):
+        cfg = workdir / "gen.json"
+        cfg.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit, match=match):
+            main(["gen", "--config", str(cfg), "--out", str(workdir / "x")])
+
+
 class TestTrainAndCheckpoint:
+    def test_train_without_size_flags_uses_library_defaults(
+            self, workdir, monkeypatch):
+        seen = {}
+
+        def fake_train(tc, mc, **kw):
+            seen.update(tc=tc, mc=mc, kw=kw)
+            return init_params(mc), []
+
+        monkeypatch.setattr(cli, "train", fake_train)
+        assert main(["train", "--out", str(workdir / "m.ckpt")]) == 0
+        assert seen == {"tc": TrainConfig(), "mc": ModelConfig(), "kw": {}}
+
+
     def test_checkpoint_with_metadata_sidecar(self, workdir):
         ckpt = _train(workdir)
         assert ckpt.exists()
@@ -131,6 +170,54 @@ class TestSolveVerifyOracle:
         assert doc["actions"][0] == 0 and doc["actions"][-1] == 0
 
 
+    def test_oracle_without_limit_flags_uses_default_limits(
+            self, workdir, monkeypatch):
+        seen = []
+        real = cli.brute_force
+        monkeypatch.setattr(cli, "brute_force",
+                            lambda inst, limits: seen.append(limits)
+                            or real(inst, limits))
+        inst_path = _gen(workdir, n=5)[0]
+        assert main(["oracle", "--instance", str(inst_path)]) == 0
+        assert seen == [OracleLimits()]
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--pomo", "-3"], "pomo_size"),
+        (["--mode", "sample", "--samples", "0"], "samples")],
+        ids=["pomo", "samples"])
+    def test_solve_rejects_sizes_below_one(self, workdir, flags, name):
+        inst_path = _gen(workdir)[0]
+        ckpt = _train(workdir)
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            main(["solve", "--instance", str(inst_path),
+                  "--checkpoint", str(ckpt), *flags])
+
+
+class TestModelConfigFiles:
+    @pytest.mark.parametrize("edit, match", [
+        ({"banana": 1}, r"unknown model config field\(s\) \['banana'\]"),
+        ({"d": "16"}, "field 'd' must be int")], ids=["unknown", "mistyped"])
+    def test_model_json_with_bad_field_rejected(self, workdir, edit, match):
+        cfg = workdir / "model.json"
+        cfg.write_text(json.dumps(edit))
+        with pytest.raises(ValueError, match=match):
+            main(["model-info", "--model", str(cfg)])
+
+    @pytest.mark.parametrize("edit, match", [
+        ({"banana": 1}, r"unknown model config field\(s\) \['banana'\]"),
+        ({"d": "16"}, "field 'd' must be int"),
+        ({"d": 32}, "does not match its metadata at 'dec.ctx.w'")],
+        ids=["unknown", "mistyped", "shape-mismatch"])
+    def test_checkpoint_meta_disagreeing_rejected(self, workdir, edit, match):
+        inst_path = _gen(workdir)[0]
+        ckpt = _train(workdir)
+        meta = workdir / "model.ckpt.meta.json"
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), **edit}))
+        with pytest.raises(ValueError, match=match):
+            main(["solve", "--instance", str(inst_path),
+                  "--checkpoint", str(ckpt)])
+
+
 class TestBench:
     def test_bench_against_oracle(self, workdir, capsys):
         _gen(workdir, n=5, count=2)
@@ -165,6 +252,13 @@ class TestInfoCommands:
                             "reduction_pct")
         n, dense, cpa, _, _ = lines[1].split(",")
         assert int(n) == 100 and int(cpa) < int(dense)
+
+    def test_cpa_stats_from_config_file(self, workdir, capsys):
+        cfg = workdir / "cpa.json"
+        cfg.write_text(json.dumps({"n": [100, 200], "smoothing": True}))
+        assert main(["cpa-stats", "--config", str(cfg)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["100", "200"]
 
     def test_model_json_with_bad_rounds_rejected(self, workdir):
         cfg = workdir / "model.json"

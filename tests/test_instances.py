@@ -1,6 +1,7 @@
 """Tests for instance generation, serialization, and parsing."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -168,6 +169,34 @@ class TestSerialization:
                                      '"format_version": 9')
         with pytest.raises(ValueError):
             Instance.from_json(bad)
+
+    @pytest.mark.parametrize("variant, key, edit, match", [
+        ("VRP", "demands", lambda v: v[:3], "demands has shape"),
+        ("VRP", "demands", lambda v: v + [1, 1], "demands has shape"),
+        ("VRP", "demands", lambda v: [1.5] + v[1:], "demands must be integ"),
+        ("VRP", "demands", lambda v: [51] + v[1:], "exceed capacity 50"),
+        ("VRP", "depot", lambda v: v + [0.5], "depot has shape"),
+        ("VRP", "customers", lambda v: [p + [0.5] for p in v],
+         "customers has shape"),
+        ("VRP", "customers", lambda v: [[float("nan"), 0.5]] + v[1:],
+         "coordinates must be finite"),
+        ("VRPTW", "time_windows", lambda v: {**v, "service": v["service"][:2]},
+         "time_windows.service has shape"),
+        ("VRPTW", "time_windows", lambda v: {**v, "horizon": float("inf")},
+         "horizon must be finite"),
+        ("EVRPCS", "resource_max", lambda v: 0.0, "resource_max"),
+        ("VRPRS", "optional_nodes", lambda v: [p + [0.5] for p in v],
+         "optional_nodes has shape"),
+    ], ids=["demands-short", "demands-long", "demands-fractional",
+            "demand-over-capacity", "depot-3d", "customers-3d",
+            "coordinate-nan", "service-short", "horizon-inf",
+            "resource-zero", "stops-3d"])
+    def test_malformed_document_rejected_naming_the_field(self, variant, key,
+                                                          edit, match):
+        doc = json.loads(generate(variant, 5, seed=0).to_json())
+        doc[key] = edit(doc[key])
+        with pytest.raises(ValueError, match=match):
+            Instance.from_json(json.dumps(doc))
 
     def test_empty_customer_set_rejected(self):
         inst = generate(Variant.VRP, 5, seed=0)

@@ -32,6 +32,21 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             M.ModelConfig(**{field: value})
 
+    @pytest.mark.parametrize("cfg", [
+        M.ModelConfig(), M.ModelConfig.full_scale(Variant.VRPTW),
+        M.ModelConfig(cluster_size=20, rounds=2, smoothing=True)],
+        ids=["default", "full", "clustered"])
+    def test_dict_roundtrip(self, cfg):
+        doc = cfg.to_dict()
+        assert doc["variant"] == cfg.variant.value
+        assert M.ModelConfig.from_dict(doc) == cfg
+
+    def test_from_dict_names_missing_field(self):
+        doc = M.ModelConfig().to_dict()
+        del doc["heads"]
+        with pytest.raises(ValueError, match="'heads' is missing"):
+            M.ModelConfig.from_dict(doc)
+
     def test_full_scale_values(self):
         cfg = M.ModelConfig.full_scale()
         assert (cfg.d, cfg.layers, cfg.ff, cfg.heads, cfg.edge_dim,
