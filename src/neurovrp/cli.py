@@ -224,6 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="neurovrp",
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
+    p.set_defaults(commands=sub.choices)
 
     def add(name, fn, flags):
         sp = sub.add_parser(name)
@@ -277,11 +278,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(argv)
-    if args.config:
+    # --config is read before the full parse, so that a config file can
+    # supply required flags too
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    config = pre.parse_known_args(argv[1:])[0].config
+    commands = parser.get_default("commands")
+    if config and argv[0] in commands:
         # config values go in as flags ahead of the real ones, which win
-        args = parser.parse_args(
-            argv[:1] + _config_argv(args.flags, args.config) + argv[1:])
+        flags = commands[argv[0]].get_default("flags")
+        argv = argv[:1] + _config_argv(flags, config) + argv[1:]
+    args = parser.parse_args(argv)
     return args.fn(args)
 
 

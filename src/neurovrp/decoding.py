@@ -424,8 +424,10 @@ def solve(instance: Instance, params: dict[str, Tensor], config: ModelConfig,
         res = batch_rollout([instance], params, config, pomo, "greedy",
                             force_first=True)
     elif policy == "pomo-aug":
-        # Each augmentation is encoded alone: the edge MLP over 8 instances
-        # at once needs about 8x the memory. All 8 then decode as one batch.
+        # Each augmentation is encoded alone: at full scale, n=100, one
+        # 8-instance encode took 3.00 s against 2.59 s for eight single
+        # ones and peaked at 152 against 94 MB, even with the edge MLP
+        # chunked. All 8 then decode as one batch.
         augs = augment8(instance)
         cache = M.concat_caches([build_cache([aug], params, config)
                                  for aug in augs])

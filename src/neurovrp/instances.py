@@ -183,33 +183,64 @@ class Instance:
     @classmethod
     def from_json(cls, text: str) -> "Instance":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("instance JSON must be an object")
         if doc.get("format_version") != FORMAT_VERSION:
             raise ValueError("unsupported instance format version")
+        _require_keys(doc, _REQUIRED_KEYS, "instance")
         tw = None
         if "time_windows" in doc:
             t = doc["time_windows"]
-            tw = TimeWindows(np.array(t["earliest"]), np.array(t["latest"]),
-                             np.array(t["service"]), float(t["horizon"]))
-        demands = np.array(doc["demands"], dtype=float)
+            _require_keys(t, _TIME_WINDOW_KEYS, "time_windows")
+            tw = TimeWindows(*(_field(f"time_windows.{k}", _floats, t[k])
+                               for k in _TIME_WINDOW_KEYS[:3]),
+                             _field("time_windows.horizon", float, t["horizon"]))
+        demands = _field("demands", _floats, doc["demands"])
         if not np.all(np.isfinite(demands) & (np.floor(demands) == demands)):
             raise ValueError("demands must be integers")
         inst = cls(
-            variant=Variant(doc["variant"]),
-            depot=np.array(doc["depot"]),
-            customers=np.array(doc["customers"]),
+            variant=_field("variant", Variant, doc["variant"]),
+            depot=_field("depot", _floats, doc["depot"]),
+            customers=_field("customers", _floats, doc["customers"]),
             demands=demands.astype(np.int64),
-            capacity=int(doc["capacity"]),
-            optional_nodes=np.array(doc["optional_nodes"] or np.zeros((0, 2))),
-            resource_max=float(doc["resource_max"]),
+            capacity=_field("capacity", int, doc["capacity"]),
+            optional_nodes=_field("optional_nodes", _floats,
+                                  doc["optional_nodes"] or np.zeros((0, 2))),
+            resource_max=_field("resource_max", float, doc["resource_max"]),
             time_windows=tw,
-            asym_matrix=(np.array(doc["asym_matrix"])
+            asym_matrix=(_field("asym_matrix", _floats, doc["asym_matrix"])
                          if "asym_matrix" in doc else None),
-            seed=int(doc["seed"]),
-            coord_scale=float(doc.get("coord_scale", 1.0)),
+            seed=_field("seed", int, doc["seed"]),
+            coord_scale=_field("coord_scale", float, doc.get("coord_scale", 1.0)),
             name=doc.get("name", ""),
         )
         inst.validate()
         return inst
+
+
+_REQUIRED_KEYS = ("variant", "depot", "customers", "demands", "capacity",
+                  "optional_nodes", "resource_max", "seed")
+_TIME_WINDOW_KEYS = ("earliest", "latest", "service", "horizon")
+
+
+def _require_keys(doc, keys: tuple, what: str) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ValueError(f"{what} is missing required keys: {missing}")
+
+
+def _floats(value) -> np.ndarray:
+    return np.array(value, dtype=float)
+
+
+def _field(name: str, parse, value):
+    """parse(value), with a malformed value reported under its field name."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 @dataclass
@@ -233,8 +264,13 @@ def default_capacity(n: int) -> int:
 
 
 def _euclid_matrix(coords: np.ndarray) -> np.ndarray:
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=-1))
+    x, y = np.asarray(coords, dtype=float).T
+    dx = np.subtract.outer(x, x)
+    dy = np.subtract.outer(y, y)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def generate(variant: Variant | str, n: int, config: GenConfig | None = None,

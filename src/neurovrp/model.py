@@ -24,6 +24,7 @@ from .instances import Instance, Variant, build_distance_matrix
 from .tensor import Tensor
 
 LOGIT_CLIP = 10.0   # C in C*tanh(.) logit clipping, POMO convention
+EDGE_MLP_ELEMS = 1 << 21  # hidden activations per heatmap chunk (16 MB)
 
 
 @dataclass
@@ -332,14 +333,30 @@ def edge_embed(h: Tensor, edges: EdgeSet, params: dict[str, Tensor]) -> Tensor:
     return x_e + T.silu(T.reshape(pre, (bsz, n_dc, k, de)))
 
 
+def _edge_mlp(x: Tensor, params: dict[str, Tensor]) -> Tensor:
+    x = T.silu(x @ params["edge.mlp.w1"] + params["edge.mlp.b1"])
+    x = T.silu(x @ params["edge.mlp.w2"] + params["edge.mlp.b2"])
+    return T.tanh(x @ params["edge.mlp.w3"] + params["edge.mlp.b3"])
+
+
 def heatmap(h_e: Tensor, edges: EdgeSet, params: dict[str, Tensor]) -> Tensor:
     """Static transition preferences, (B, N_total, N_total): tanh(MLP(edge))
-    on kNN edges, zero elsewhere, so on optional-node rows and columns too."""
+    on kNN edges, zero elsewhere, so on optional-node rows and columns too.
+
+    The MLP runs over chunks of at most EDGE_MLP_ELEMS // (K * hidden) node
+    rows, so its transient memory is bounded by the chunk, not by B * N.
+    """
     bsz, n_dc, k, de = h_e.shape
     nt = edges.n_total
-    x = T.silu(h_e @ params["edge.mlp.w1"] + params["edge.mlp.b1"])
-    x = T.silu(x @ params["edge.mlp.w2"] + params["edge.mlp.b2"])
-    vals = T.tanh(x @ params["edge.mlp.w3"] + params["edge.mlp.b3"])
+    rows = bsz * n_dc
+    chunk = max(1, EDGE_MLP_ELEMS // (k * params["edge.mlp.w1"].shape[1]))
+    if rows <= chunk:
+        vals = _edge_mlp(h_e, params)
+    else:
+        flat = T.reshape(h_e, (rows, k, de))
+        vals = T.concat([
+            _edge_mlp(T.take(flat, np.arange(lo, min(lo + chunk, rows))), params)
+            for lo in range(0, rows, chunk)])
     vals = T.reshape(vals, (bsz, n_dc, k))
     b_idx = np.arange(bsz)[:, None, None]
     i_idx = np.arange(n_dc)[None, :, None]

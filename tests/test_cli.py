@@ -181,6 +181,28 @@ class TestSolveVerifyOracle:
         assert main(["oracle", "--instance", str(inst_path)]) == 0
         assert seen == [OracleLimits()]
 
+    def test_oracle_required_flag_from_config_file(self, workdir, capsys):
+        inst_path = _gen(workdir, n=5)[0]
+        cfg = workdir / "oracle.json"
+        cfg.write_text(json.dumps({"instance": str(inst_path)}))
+        capsys.readouterr()
+        assert main(["oracle", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["proven"]
+
+    def test_solve_required_flags_from_config_file_flag_wins(self, workdir):
+        inst_path = _gen(workdir)[0]
+        ckpt = _train(workdir)
+        cfg = workdir / "solve.json"
+        cfg.write_text(json.dumps({"instance": str(inst_path),
+                                   "checkpoint": str(ckpt),
+                                   "out": str(workdir / "from_config.json")}))
+        sol_path = workdir / "from_flag.json"
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(sol_path)]) == 0
+        assert not (workdir / "from_config.json").exists()
+        assert main(["verify", "--instance", str(inst_path),
+                     "--solution", str(sol_path)]) == 0
+
     @pytest.mark.parametrize("flags, name", [
         (["--pomo", "-3"], "pomo_size"),
         (["--mode", "sample", "--samples", "0"], "samples")],

@@ -198,6 +198,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match=match):
             Instance.from_json(json.dumps(doc))
 
+    def test_missing_key_named(self):
+        doc = json.loads(generate(Variant.VRP, 5, seed=0).to_json())
+        del doc["demands"]
+        with pytest.raises(ValueError, match=r"missing required keys: \['demands'\]"):
+            Instance.from_json(json.dumps(doc))
+
+    def test_non_numeric_array_named(self):
+        doc = json.loads(generate(Variant.VRP, 5, seed=0).to_json())
+        doc["depot"] = ["a", "b"]
+        with pytest.raises(ValueError, match="^depot: "):
+            Instance.from_json(json.dumps(doc))
+
     def test_empty_customer_set_rejected(self):
         inst = generate(Variant.VRP, 5, seed=0)
         empty = dataclasses.replace(inst, customers=np.zeros((0, 2)),

@@ -1,6 +1,7 @@
 """Tests for the encoder/decoder model components."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,6 +227,59 @@ class TestEdgesAndHeatmap:
         for name in ("edge.mlp.w1", "edge.w1", "edge.red_src.w", "edge.in.w"):
             assert params[name].grad is not None
             assert np.abs(params[name].grad).max() > 0
+
+    def _chunk_setup(self):
+        cfg = _toy(Variant.EVRPCS)
+        params = M.init_params(cfg, seed=6)
+        batch = [generate(Variant.EVRPCS, 7, seed=s,
+                          config=GenConfig(n_stations=2)) for s in range(2)]
+        edges = M.build_edge_set(batch, cfg)
+        h_e = M.edge_embed(M.encode(batch, params, cfg), edges, params)
+        return params, edges, h_e
+
+    def _chunk_rows(self, monkeypatch, edges, params, rows):
+        """Set the chunk to `rows` node rows; 16 rows then split 5,5,5,1."""
+        hidden = params["edge.mlp.w1"].shape[1]
+        monkeypatch.setattr(M, "EDGE_MLP_ELEMS", rows * edges.k * hidden)
+
+    def test_chunked_heatmap_equals_one_chunk(self, monkeypatch):
+        params, edges, h_e = self._chunk_setup()
+        whole = M.heatmap(h_e, edges, params).values
+        self._chunk_rows(monkeypatch, edges, params, 5)
+        chunked = M.heatmap(h_e, edges, params).values
+        assert np.abs(chunked - whole).max() <= 1e-12
+        assert (chunked != 0).sum() == 2 * 8 * edges.k
+
+    def test_chunked_heatmap_gradcheck(self, monkeypatch):
+        params, edges, h_e = self._chunk_setup()
+        self._chunk_rows(monkeypatch, edges, params, 5)
+        h_e = Tensor(h_e.values, requires_grad=True)
+        leaves = [h_e] + [params[f"edge.mlp.{w}"]
+                          for w in ("w1", "b1", "w2", "b2", "w3", "b3")]
+        weight = np.random.default_rng(1).standard_normal((2, 10, 10))
+        err = T.finite_diff_check(
+            lambda: T.tsum(M.heatmap(h_e, edges, params) * Tensor(weight)),
+            leaves, count=60)
+        assert err < 1e-5
+
+    def test_heatmap_peak_memory_bounded_by_chunk(self):
+        cfg = M.ModelConfig.full_scale()
+        params = {k: v.detach() for k, v in M.init_params(cfg).items()}
+        n, k = 1001, cfg.k_neighbors
+        rng = np.random.default_rng(0)
+        h_e = Tensor(rng.standard_normal((1, n, k, cfg.edge_dim)))
+        nbrs = np.stack([rng.permutation(n)[:k] for _ in range(n)])[None]
+        edges = M.EdgeSet(neighbors=nbrs, features=np.zeros((1, n, k, 3)),
+                          n_total=n)
+        tracemalloc.start()
+        try:
+            M.heatmap(h_e, edges, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # all edges at once would hold several 50050 x 256 activations
+        # (about 400 MB); a chunk holds a few EDGE_MLP_ELEMS-sized ones
+        assert peak < 5 * M.EDGE_MLP_ELEMS * 8 + n * n * 8
 
 
 class TestDecoder:
