@@ -31,11 +31,22 @@ def _given(args: argparse.Namespace, *dests: str, **renamed: str) -> dict:
             if getattr(args, dest) is not None}
 
 
+def _read_json(path: str, what: str):
+    """The JSON document in `path`; an unreadable or malformed file exits
+    with a message naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except OSError as e:
+        raise SystemExit(f"cannot read {what} {path}: {e.strerror or e}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise SystemExit(f"{what} {path} is not valid JSON: {e}")
+
+
 def _config_argv(flags: dict, path: str) -> list[str]:
     """A --config file as flag tokens, so that each value is parsed by its
     flag's own type, choices and nargs."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = _read_json(path, "config file")
     if not isinstance(doc, dict):
         raise SystemExit(f"config file {path} must be a JSON object of "
                          f"flag names, got {type(doc).__name__}")
@@ -62,8 +73,7 @@ def _model_config(preset: str, variant: str | None) -> ModelConfig:
         return ModelConfig(**given)
     if preset == "full":
         return ModelConfig.full_scale(**given)
-    with open(preset, encoding="utf-8") as f:
-        doc = json.load(f)
+    doc = _read_json(preset, "model config")
     if not isinstance(doc, dict):
         raise ValueError(f"model config {preset} must be a JSON object")
     return ModelConfig.from_dict({**ModelConfig(**given).to_dict(), **doc})

@@ -368,11 +368,16 @@ def heatmap(h_e: Tensor, edges: EdgeSet, params: dict[str, Tensor]) -> Tensor:
 
 @dataclass
 class DecodeCache:
-    """Per-instance projections over all N_total nodes, computed once."""
+    """Per-instance projections over all N_total nodes, computed once.
+
+    k_logit has the glimpse output projection and the logit scale folded
+    in: a glimpse g scores node j as g @ k_logit[j], which equals
+    (g @ wo_g) @ (h_j @ wk_l) / sqrt(d).
+    """
     h_nodes: Tensor      # (B, N_total, d) embeddings incl. optional nodes
-    k_glimpse: Tensor
-    v_glimpse: Tensor
-    k_logit: Tensor
+    k_glimpse: Tensor    # (B, N_total, d) h_nodes @ wk_g
+    v_glimpse: Tensor    # (B, N_total, d) h_nodes @ wv_g
+    k_logit: Tensor      # (B, N_total, d) h_nodes @ (wk_l @ wo_g^T) / sqrt(d)
     heat: Tensor | None  # (B, N_total, N_total), 0 on optional rows/cols
 
 
@@ -380,11 +385,13 @@ def build_decode_cache(h_dc: Tensor, h_opt: Tensor | None,
                        heat: Tensor | None,
                        params: dict[str, Tensor]) -> DecodeCache:
     h_nodes = h_dc if h_opt is None else T.concat([h_dc, h_opt], axis=1)
+    d = h_nodes.shape[-1]
+    w_logit = params["dec.wk_l"] @ T.swapaxes(params["dec.wo_g"], 0, 1)
     return DecodeCache(
         h_nodes=h_nodes,
         k_glimpse=h_nodes @ params["dec.wk_g"],
         v_glimpse=h_nodes @ params["dec.wv_g"],
-        k_logit=h_nodes @ params["dec.wk_l"],
+        k_logit=h_nodes @ (w_logit * (1 / math.sqrt(d))),
         heat=heat,
     )
 
@@ -407,13 +414,15 @@ class ExpandedCache:
     Row t = b*P + p is trajectory p of instance b (the POMO layout). Keys
     stay per instance and each step broadcasts an instance's P queries
     against them, so nothing is copied per trajectory. One flat index
-    b*N + current gathers a trajectory's h_flat and heat_flat rows.
+    b*N + current gathers a trajectory's h_flat and heat_flat rows. The
+    glimpse keys carry the 1/sqrt(dh) score scale, applied once per
+    rollout instead of to every step's (B, heads, P, N) scores.
     """
     traj_instance: np.ndarray  # (T,) np.repeat(arange(B), P)
     h_flat: Tensor       # (B*N, d) for current-node gathers
-    k_g: Tensor          # (B, heads, N, dh)
+    k_g: Tensor          # (B, heads, dh, N) glimpse keys / sqrt(dh)
     v_g: Tensor          # (B, heads, N, dh)
-    k_l: Tensor          # (B, d, N)
+    k_l: Tensor          # (B, d, N) the wo_g-folded logit keys
     heat_flat: Tensor | None   # (B*N, N) heat rows, gathered like h_flat
     n_total: int
 
@@ -432,14 +441,16 @@ def expand_cache(cache: DecodeCache, traj_instance: np.ndarray,
         raise ValueError("traj_instance must hold P >= 1 consecutive rows "
                          "per instance: np.repeat(np.arange(B), P)")
     heads = config.heads
+    dh = d // heads
 
     def split_heads(x):
-        return T.swapaxes(T.reshape(x, (bsz, n_total, heads, d // heads)), 1, 2)
+        return T.swapaxes(T.reshape(x, (bsz, n_total, heads, dh)), 1, 2)
 
     return ExpandedCache(
         traj_instance=traj_instance,
         h_flat=T.reshape(cache.h_nodes, (bsz * n_total, d)),
-        k_g=split_heads(cache.k_glimpse),
+        k_g=T.swapaxes(split_heads(cache.k_glimpse * (1 / math.sqrt(dh))),
+                       -1, -2),
         v_g=split_heads(cache.v_glimpse),
         k_l=T.swapaxes(cache.k_logit, 1, 2),
         heat_flat=None if cache.heat is None
@@ -472,14 +483,12 @@ def decode_step(cache: ExpandedCache, params: dict[str, Tensor],
     q = ctx @ params["dec.ctx.w"]
 
     qh = T.swapaxes(T.reshape(q, (bsz, pomo, heads, dh)), 1, 2)
-    scores = (qh @ T.swapaxes(cache.k_g, -1, -2)) * (1 / math.sqrt(dh))
-    attn = T.masked_softmax(scores, allowed.reshape(bsz, 1, pomo, n_total))
-    glimpse = T.reshape(T.swapaxes(attn @ cache.v_g, 1, 2), (t_cnt, d))
-    q2 = glimpse @ params["dec.wo_g"]
-
-    logits = T.reshape(T.reshape(q2, (bsz, pomo, d)) @ cache.k_l,
-                       (t_cnt, n_total))
-    logits = T.tanh(logits * (1 / math.sqrt(d))) * LOGIT_CLIP
+    attn = T.masked_softmax(qh @ cache.k_g,
+                            allowed.reshape(bsz, 1, pomo, n_total))
+    glimpse = T.reshape(T.swapaxes(attn @ cache.v_g, 1, 2), (bsz, pomo, d))
+    # wo_g and 1/sqrt(d) are folded into k_l
+    logits = T.reshape(glimpse @ cache.k_l, (t_cnt, n_total))
+    logits = T.tanh(logits) * LOGIT_CLIP
 
     if cache.heat_flat is not None:
         logits = logits + T.take(cache.heat_flat, flat_idx, axis=0)

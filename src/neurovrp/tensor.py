@@ -324,8 +324,8 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def masked_softmax(a: Tensor, allowed: np.ndarray, axis: int = -1) -> Tensor:
     """Softmax along `axis` restricted to entries where `allowed` is True.
 
-    Disallowed entries get probability exactly 0. Rows with no allowed
-    entry are rejected.
+    Disallowed entries get probability exactly 0, whatever finite value
+    they hold. Rows with no allowed entry are rejected.
     """
     mask = np.asarray(allowed, dtype=bool)
     # Rows are checked on the mask as given, before broadcasting (for
@@ -333,9 +333,15 @@ def masked_softmax(a: Tensor, allowed: np.ndarray, axis: int = -1) -> Tensor:
     lead = (1,) * (a.values.ndim - mask.ndim)
     if not mask.reshape(lead + mask.shape).any(axis=axis).all():
         raise ValueError("masked_softmax: a row has no allowed entries")
-    out_vals = np.where(np.broadcast_to(mask, a.values.shape), a.values, -np.inf)
-    out_vals -= out_vals.max(axis=axis, keepdims=True)
-    np.exp(out_vals, out=out_vals)   # exp(-inf) is exactly 0
+    # -inf only finds the row max. Disallowed entries are exponentiated as
+    # exp(0) and then zeroed: numpy's exp is several times slower on
+    # arrays holding -inf or values that underflow.
+    row_max = np.where(mask, a.values, -np.inf).max(axis=axis, keepdims=True)
+    keep = mask.astype(np.float64)
+    out_vals = a.values - row_max
+    out_vals *= keep
+    np.exp(out_vals, out=out_vals)
+    out_vals *= keep
     out_vals /= out_vals.sum(axis=axis, keepdims=True)
 
     def bw(g):
@@ -429,16 +435,26 @@ def save_params(params: dict[str, Tensor], path) -> None:
 
 
 def load_params(path) -> dict[str, Tensor]:
+    """Read a `save_params` file; anything else raises ValueError naming
+    the path."""
     with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    if "version" not in doc:
-        raise ValueError("checkpoint missing version field")
+        try:
+            doc = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
+            raise ValueError(f"{path} is not a checkpoint: {e}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} is not a checkpoint: a JSON "
+                         f"{type(doc).__name__}, not an object")
+    missing = [k for k in ("version", "sha256", "params") if k not in doc]
+    if missing:
+        raise ValueError(f"{path} is not a checkpoint: missing {missing}")
     if doc["version"] != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc['version']}")
+        raise ValueError(f"{path}: unsupported checkpoint version "
+                         f"{doc['version']}")
     payload = json.dumps(doc["params"], sort_keys=True)
     digest = hashlib.sha256(payload.encode()).hexdigest()
     if digest != doc["sha256"]:
-        raise ValueError("checkpoint content hash mismatch")
+        raise ValueError(f"{path}: checkpoint content hash mismatch")
     out = {}
     for e in doc["params"]:
         out[e["name"]] = Tensor(

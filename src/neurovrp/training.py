@@ -41,6 +41,7 @@ class EpochMetrics:
     sampled_cost: float
     greedy_val_cost: float
     tau: float
+    grad_norm: float     # mean pre-clip global gradient norm over batches
 
 
 class Adam:
@@ -138,7 +139,7 @@ def train(config: TrainConfig, model_cfg: ModelConfig,
     inst_seed = 0
     for epoch in range(config.epochs):
         tau = gumbel_tau(epoch)
-        epoch_costs = []
+        epoch_costs, grad_norms = [], []
         for _ in range(config.batches_per_epoch):
             batch = [generate(model_cfg.variant, config.n_customers,
                               seed=1_000_000 + config.seed * 10_000 + inst_seed + i,
@@ -156,14 +157,16 @@ def train(config: TrainConfig, model_cfg: ModelConfig,
                     f"non-finite loss at epoch {epoch}; aborting")
             opt.zero_grad()
             loss.backward()
-            opt.step()
+            grad_norms.append(opt.step())
             epoch_costs.extend(res.costs.tolist())
         val_cost = greedy_validation_cost(val_set, params, model_cfg)
         m = EpochMetrics(epoch=epoch, sampled_cost=float(np.mean(epoch_costs)),
-                         greedy_val_cost=val_cost, tau=tau)
+                         greedy_val_cost=val_cost, tau=tau,
+                         grad_norm=float(np.mean(grad_norms)))
         history.append(m)
         log(f"epoch {epoch}: sampled {m.sampled_cost:.4f} "
-            f"greedy-val {m.greedy_val_cost:.4f} tau {tau:.3f}")
+            f"greedy-val {m.greedy_val_cost:.4f} tau {tau:.3f} "
+            f"grad-norm {m.grad_norm:.4f}")
 
     if metrics_path is not None:
         write_metrics(history, metrics_path)
@@ -173,7 +176,9 @@ def train(config: TrainConfig, model_cfg: ModelConfig,
 def write_metrics(history: list[EpochMetrics], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
-        w.writerow(["epoch", "sampled_cost", "greedy_val_cost", "tau"])
+        w.writerow(["epoch", "sampled_cost", "greedy_val_cost", "tau",
+                    "grad_norm"])
         for m in history:
             w.writerow([m.epoch, f"{m.sampled_cost:.6f}",
-                        f"{m.greedy_val_cost:.6f}", f"{m.tau:.6f}"])
+                        f"{m.greedy_val_cost:.6f}", f"{m.tau:.6f}",
+                        f"{m.grad_norm:.6f}"])

@@ -92,6 +92,20 @@ class TestGen:
         with pytest.raises(SystemExit, match=match):
             main(["gen", "--config", str(cfg), "--out", str(workdir / "x")])
 
+    @pytest.mark.parametrize("text, match", [
+        (None, "cannot read config file"),
+        ('{"n": 5,', "is not valid JSON"),
+        ("\udcff", "is not valid JSON")],
+        ids=["missing", "truncated", "not-utf8"])
+    def test_unreadable_config_file_named(self, workdir, text, match):
+        cfg = workdir / "gen.json"
+        if text is not None:
+            cfg.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(SystemExit, match=match) as err:
+            main(["gen", "--config", str(cfg), "--out", str(workdir / "x")])
+        assert str(cfg) in str(err.value)
+        assert not (workdir / "x").exists()
+
 
 class TestTrainAndCheckpoint:
     def test_train_without_size_flags_uses_library_defaults(
@@ -224,6 +238,32 @@ class TestModelConfigFiles:
         cfg.write_text(json.dumps(edit))
         with pytest.raises(ValueError, match=match):
             main(["model-info", "--model", str(cfg)])
+
+    @pytest.mark.parametrize("text, match", [
+        (None, "cannot read model config"), ('{"d": 16', "is not valid JSON")],
+        ids=["missing", "truncated"])
+    def test_unreadable_model_json_named(self, workdir, text, match):
+        cfg = workdir / "model.json"
+        if text is not None:
+            cfg.write_text(text)
+        with pytest.raises(SystemExit, match=match) as err:
+            main(["model-info", "--model", str(cfg)])
+        assert str(cfg) in str(err.value)
+
+    @pytest.mark.parametrize("text, match", [
+        ("VRP n=6\n", "is not a checkpoint: Expecting value"),
+        ("[1, 2]", "is not a checkpoint: a JSON list"),
+        ('{"version": 1, "sha256": "0"}', r"missing \['params'\]"),
+        ('{"version": 1, "params": []}', r"missing \['sha256'\]")],
+        ids=["text", "list", "no-params", "no-sha256"])
+    def test_non_checkpoint_named(self, workdir, text, match):
+        inst_path = _gen(workdir)[0]
+        ckpt = workdir / "notes.ckpt"
+        ckpt.write_text(text)
+        with pytest.raises(ValueError, match=match) as err:
+            main(["solve", "--instance", str(inst_path),
+                  "--checkpoint", str(ckpt)])
+        assert str(err.value).startswith(str(ckpt))
 
     @pytest.mark.parametrize("edit, match", [
         ({"banana": 1}, r"unknown model config field\(s\) \['banana'\]"),

@@ -1,6 +1,7 @@
 """Tests for the encoder/decoder model components."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -280,6 +281,114 @@ class TestEdgesAndHeatmap:
         # all edges at once would hold several 50050 x 256 activations
         # (about 400 MB); a chunk holds a few EDGE_MLP_ELEMS-sized ones
         assert peak < 5 * M.EDGE_MLP_ELEMS * 8 + n * n * 8
+
+
+def _where_exp(a, allowed):
+    out = np.where(np.broadcast_to(allowed, a.shape), a, -np.inf)
+    out = np.exp(out - out.max(axis=-1, keepdims=True))
+    return out / out.sum(axis=-1, keepdims=True)
+
+
+def _unfolded_decode_step(cache, params, config, current, cap_frac, xi,
+                          allowed, opt_term=None):
+    """`decode_step` without the decode-cache folds, in plain numpy: keys
+    projected from the node embeddings, scores scaled by 1/sqrt(dh), the
+    glimpse through wo_g, logits scaled by 1/sqrt(d)."""
+    w = {k: v.values for k, v in params.items()}
+    n, d, heads = cache.n_total, config.d, config.heads
+    dh, t_cnt = d // heads, len(current)
+    bsz = cache.traj_instance[-1] + 1
+    pomo = t_cnt // bsz
+    h = cache.h_flat.values.reshape(bsz, n, d)
+    rows = cache.traj_instance * n + current
+
+    def split(x, length):
+        return x.reshape(bsz, length, heads, dh).swapaxes(1, 2)
+
+    ctx = np.concatenate([cache.h_flat.values[rows], cap_frac[:, None],
+                          xi[:, None]], axis=1)
+    qh = split(ctx @ w["dec.ctx.w"], pomo)
+    scores = (qh @ split(h @ w["dec.wk_g"], n).swapaxes(-1, -2)) \
+        * (1 / math.sqrt(dh))
+    attn = _where_exp(scores, allowed.reshape(bsz, 1, pomo, n))
+    glimpse = (attn @ split(h @ w["dec.wv_g"], n)).swapaxes(1, 2)
+    q2 = glimpse.reshape(t_cnt, d) @ w["dec.wo_g"]
+    logits = q2.reshape(bsz, pomo, d) @ (h @ w["dec.wk_l"]).swapaxes(1, 2)
+    logits = np.tanh(logits.reshape(t_cnt, n) * (1 / math.sqrt(d))) \
+        * M.LOGIT_CLIP
+    if cache.heat_flat is not None:
+        logits = logits + cache.heat_flat.values[rows]
+    if opt_term is not None:
+        logits = logits + opt_term
+    return Tensor(_where_exp(logits, allowed))
+
+
+class TestDecodeCacheFolds:
+    """decode_step folds the score scales and wo_g into the decode cache;
+    it must still compute the unfolded model."""
+
+    @pytest.mark.parametrize("variant, full", [
+        (Variant.EVRPCS, False), (Variant.VRPTW, False), (Variant.VRP, True)],
+        ids=["toy-evrpcs", "toy-vrptw", "full-vrp"])
+    def test_matches_unfolded_reference(self, variant, full):
+        cfg = M.ModelConfig.full_scale(variant) if full else _toy(variant)
+        params = M.init_params(cfg, seed=5)
+        batch = [generate(variant, 12, seed=s,
+                          config=GenConfig(n_stations=2, n_stops=2))
+                 for s in range(2)]
+        from neurovrp.decoding import build_cache
+        traj = np.repeat(np.arange(2), 4)
+        expanded = M.expand_cache(build_cache(batch, params, cfg), traj, cfg)
+        n_total = batch[0].n_nodes
+        rng = np.random.default_rng(2)
+        for _ in range(3):
+            allowed = rng.random((8, n_total)) < 0.5
+            allowed[:, 1] = True
+            args = (rng.integers(n_total, size=8), rng.random(8),
+                    rng.random(8), allowed, rng.normal(size=(8, n_total)))
+            folded = M.decode_step(expanded, params, cfg, *args).values
+            ref = _unfolded_decode_step(expanded, params, cfg, *args).values
+            assert np.abs(folded - ref).max() <= 1e-12
+            assert (folded[~allowed] == 0.0).all()
+
+    def test_gradients_through_folded_cache(self):
+        cfg = _toy(Variant.VRPTW)
+        params = M.init_params(cfg, seed=3)
+        batch = [generate(Variant.VRPTW, 6, seed=s) for s in range(2)]
+        from neurovrp.decoding import build_cache
+        enc = build_cache(batch, {k: v.detach() for k, v in params.items()},
+                          cfg)
+        traj = np.repeat(np.arange(2), 3)
+        rng = np.random.default_rng(4)
+        allowed = rng.random((6, 7)) < 0.6
+        allowed[:, 2] = True
+        args = (np.array([0, 3, 5, 1, 0, 6]), rng.random(6), rng.random(6),
+                allowed)
+        weight = Tensor(rng.standard_normal((6, 7)))
+
+        def loss():
+            cache = M.build_decode_cache(enc.h_nodes, None, enc.heat, params)
+            probs = M.decode_step(M.expand_cache(cache, traj, cfg), params,
+                                  cfg, *args)
+            return T.tsum(probs * weight)
+
+        leaves = [params[f"dec.{name}"]
+                  for name in ("wk_g", "wk_l", "wo_g", "ctx.w")]
+        assert T.finite_diff_check(loss, leaves, count=80) < 1e-5
+        assert all(np.abs(p.grad).max() > 0 for p in leaves)
+
+    def test_greedy_pomo_actions_match_unfolded_reference(self, monkeypatch):
+        from neurovrp import decoding as D
+        cfg = M.ModelConfig.full_scale(Variant.VRP)
+        params = M.init_params(cfg, seed=0)
+        batch = [generate(Variant.VRP, 100, seed=1000 + s) for s in range(3)]
+        folded = [D.batch_rollout([inst], params, cfg, 100, force_first=True)
+                  for inst in batch]
+        monkeypatch.setattr(M, "decode_step", _unfolded_decode_step)
+        for inst, res in zip(batch, folded):
+            ref = D.batch_rollout([inst], params, cfg, 100, force_first=True)
+            assert ref.actions == res.actions
+            assert np.array_equal(ref.costs, res.costs)
 
 
 class TestDecoder:

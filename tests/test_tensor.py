@@ -161,6 +161,42 @@ class TestMaskedSoftmax:
         T.tsum(log_p * -3.7).backward()
         assert (a.grad == 0.0).all()
 
+    @staticmethod
+    def _where_exp(a, allowed, axis):
+        """The textbook formula: -inf on disallowed entries, then exp."""
+        out = np.where(np.broadcast_to(allowed, a.shape), a, -np.inf)
+        out = np.exp(out - out.max(axis=axis, keepdims=True))
+        return out / out.sum(axis=axis, keepdims=True)
+
+    @pytest.mark.parametrize("shape, mask_shape, axis", [
+        ((2, 8, 30, 41), (2, 1, 30, 41), -1),   # heads-broadcast decode mask
+        ((50, 101), (50, 101), -1),
+        ((3, 9, 4), (3, 9, 4), 1),
+        ((7, 5), (7, 5), 0)],
+        ids=["heads", "logits", "middle-axis", "axis0"])
+    def test_bit_identical_to_where_exp(self, shape, mask_shape, axis):
+        rng = np.random.default_rng(3)
+        for density in (0.05, 0.3, 0.9):
+            a = Tensor(rng.standard_normal(shape) * 4.0)
+            allowed = rng.random(mask_shape) < density
+            # at least one allowed entry on every row along `axis`
+            first = [slice(None)] * len(mask_shape)
+            first[axis] = rng.integers(mask_shape[axis])
+            allowed[tuple(first)] = True
+            out = T.masked_softmax(a, allowed, axis=axis).values
+            assert np.array_equal(out, self._where_exp(a.values, allowed, axis))
+
+    def test_huge_disallowed_entry_gives_exact_zero(self):
+        a = np.array([[0.5, -1.0, 2.0, 0.0], [3.0, 1.0, -2.0, 4.0]])
+        allowed = np.array([[True, True, False, True],
+                            [False, True, True, True]])
+        a[~allowed] = a[allowed].max() + 1e6
+        with np.errstate(over="raise", invalid="raise"):
+            out = T.masked_softmax(Tensor(a), allowed).values
+        assert np.isfinite(out).all()
+        assert (out[~allowed] == 0.0).all()
+        assert np.array_equal(out, self._where_exp(a, allowed, -1))
+
     def test_gradient(self):
         a = _leaf((3, 4), scale=2.0)
         allowed = np.ones((3, 4), dtype=bool)

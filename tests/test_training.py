@@ -89,8 +89,27 @@ class TestTrainLoop:
                                 metrics_path=path, log=lambda *_: None)
         assert len(hist) == 2
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,sampled_cost,greedy_val_cost,tau"
+        assert lines[0] == "epoch,sampled_cost,greedy_val_cost,tau,grad_norm"
         assert len(lines) == 3
+
+    def test_grad_norm_recorded_and_logged(self, tmp_path, monkeypatch):
+        steps = []
+        step = TR.Adam.step
+        monkeypatch.setattr(TR.Adam, "step",
+                            lambda self: steps.append(step(self)) or steps[-1])
+        path = tmp_path / "metrics.csv"
+        logged = []
+        _, hist = TR.train(_tiny_train_cfg(), _toy_model(),
+                           metrics_path=path, log=logged.append)
+        norms = [m.grad_norm for m in hist]
+        assert all(np.isfinite(norms)) and min(norms) > 0
+        # the mean of the pre-clip norms of each epoch's two batches
+        assert norms == [np.mean(steps[0:2]), np.mean(steps[2:4])]
+        assert all(f"grad-norm {m.grad_norm:.4f}" in line
+                   for m, line in zip(hist, logged))
+        rows = [line.split(",") for line in
+                path.read_text().strip().splitlines()[1:]]
+        assert [float(r[-1]) for r in rows] == pytest.approx(norms, abs=1e-6)
 
     def test_deterministic_given_seed(self):
         a, _ = TR.train(_tiny_train_cfg(), _toy_model(), log=lambda *_: None)
