@@ -103,7 +103,10 @@ def _save_checkpoint(params, config: ModelConfig, path) -> None:
 
 
 def _read_instance(path) -> Instance:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise SystemExit(f"cannot read instance {path}: {e.strerror or e}")
     if text.lstrip().startswith("{"):
         return Instance.from_json(text)
     return parse_cvrplib(text)
@@ -163,9 +166,14 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = _read_instance(args.instance)
-    with open(args.solution, encoding="utf-8") as f:
-        doc = json.load(f)
-    sol = Solution(actions=list(doc["actions"]), cost=float(doc["cost"]))
+    doc = _read_json(args.solution, "solution")
+    if not isinstance(doc, dict) or not {"actions", "cost"} <= doc.keys():
+        raise SystemExit(f"solution {args.solution} must be a JSON object "
+                         f"with 'actions' and 'cost'")
+    try:
+        sol = Solution(actions=list(doc["actions"]), cost=float(doc["cost"]))
+    except (TypeError, ValueError) as e:
+        raise SystemExit(f"solution {args.solution} is malformed: {e}")
     report = validate_solution(inst, sol)
     if report.ok:
         print("OK")

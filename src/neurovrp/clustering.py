@@ -250,6 +250,6 @@ def clustered_attention(h: Tensor, index: SlotLayout,
     rows = index.rounds.reshape(-1, m1)
     slots = take(reshape(h, (bsz * n_nodes, d)), rows, axis=0)
     out = multi_head_attention(slots, index.key_mask.reshape(-1, m1), params)
-    out = out * Tensor(index.weight.reshape(-1, m1, 1))
+    out = out * index.weight.reshape(-1, m1, 1)
     flat = (rows[..., None] * d + np.arange(d)).ravel()
     return scatter(out, flat, (bsz, n_nodes, d))

@@ -212,8 +212,9 @@ def encode(batch: list[Instance], params: dict[str, Tensor],
     if batch[0].variant != config.variant:
         raise ValueError("instance variant does not match model config")
     depot_xy, cust_feats = node_features(batch)
-    depot_h = Tensor(depot_xy) @ params["enc.in.depot.w"] + params["enc.in.depot.b"]
-    cust_h = Tensor(cust_feats) @ params["enc.in.cust.w"] + params["enc.in.cust.b"]
+    w_depot, w_cust = params["enc.in.depot.w"], params["enc.in.cust.w"]
+    depot_h = T.const(depot_xy, w_depot) @ w_depot + params["enc.in.depot.b"]
+    cust_h = T.const(cust_feats, w_cust) @ w_cust + params["enc.in.cust.b"]
     h = T.concat([T.reshape(depot_h, (len(batch), 1, config.d)), cust_h], axis=1)
 
     # Dense attention is the one-cluster case: every customer, one round.
@@ -243,7 +244,8 @@ def encode_optional(batch: list[Instance], params: dict[str, Tensor],
     if config.variant not in (Variant.EVRPCS, Variant.VRPRS):
         raise ValueError("variant has no optional nodes")
     coords = np.stack([inst.optional_nodes for inst in batch])
-    h = Tensor(coords) @ params["opt.in.w"] + params["opt.in.b"]
+    w_in = params["opt.in.w"]
+    h = T.const(coords, w_in) @ w_in + params["opt.in.b"]
     bsz, f, _ = h.shape
     return multi_head_attention(h, np.ones((bsz, f), dtype=bool),
                                 _attention_params(params, "opt.attn", config.heads))
@@ -264,7 +266,7 @@ def fuse_optional(h: Tensor, h_opt: Tensor, params: dict[str, Tensor],
     logits = (cust @ params["opt.fuse.wq"]) @ \
         T.swapaxes(h_opt @ params["opt.fuse.wk"], -1, -2) * (1 / math.sqrt(d))
     if noise is not None:
-        logits = logits + Tensor(noise)
+        logits = logits + noise
     weights = T.masked_softmax(logits * (1.0 / tau),
                                np.ones((bsz, n1 - 1, f), dtype=bool))
     blended = weights @ (h_opt @ params["opt.fuse.wv"])
@@ -317,7 +319,8 @@ def edge_embed(h: Tensor, edges: EdgeSet, params: dict[str, Tensor]) -> Tensor:
     """
     bsz, n_dc, d = h.shape
     k = edges.k
-    x_e = Tensor(edges.features) @ params["edge.in.w"] + params["edge.in.b"]
+    w_in = params["edge.in.w"]
+    x_e = T.const(edges.features, w_in) @ w_in + params["edge.in.b"]
     src = h @ params["edge.red_src.w"] + params["edge.red_src.b"]
     dst = h @ params["edge.red_dst.w"] + params["edge.red_dst.b"]
     flat_idx = (np.arange(bsz)[:, None, None] * n_dc + edges.neighbors).ravel()
@@ -479,7 +482,8 @@ def decode_step(cache: ExpandedCache, params: dict[str, Tensor],
 
     flat_idx = cache.traj_instance * n_total + current
     h_t = T.take(cache.h_flat, flat_idx, axis=0)
-    ctx = T.concat([h_t, Tensor(cap_frac[:, None]), Tensor(xi[:, None])], axis=1)
+    ctx = T.concat([h_t, T.const(cap_frac[:, None], h_t),
+                    T.const(xi[:, None], h_t)], axis=1)
     q = ctx @ params["dec.ctx.w"]
 
     qh = T.swapaxes(T.reshape(q, (bsz, pomo, heads, dh)), 1, 2)
@@ -493,6 +497,6 @@ def decode_step(cache: ExpandedCache, params: dict[str, Tensor],
     if cache.heat_flat is not None:
         logits = logits + T.take(cache.heat_flat, flat_idx, axis=0)
     if opt_term is not None:
-        logits = logits + Tensor(opt_term)
+        logits = logits + opt_term
 
     return T.masked_softmax(logits, allowed)

@@ -1,9 +1,14 @@
 """Minimal dense-tensor engine with reverse-mode differentiation.
 
-All buffers are float64 numpy arrays. A computation graph is built eagerly
-by the ops below and consumed by a single `backward` call on a scalar.
-Reduction order is fixed by numpy, so identical inputs give bit-identical
-forward values.
+Buffers are float64 numpy arrays unless a Tensor is given float32 values,
+which it keeps: training, checkpoints and gradient checks run in float64,
+and `decoding.solve` decodes on float32 copies of the parameters. A
+constant that meets a Tensor (through `const` or an operator) takes that
+Tensor's dtype, so a float32 graph is not promoted back to float64.
+
+A computation graph is built eagerly by the ops below and consumed by a
+single `backward` call on a scalar. Reduction order is fixed by numpy, so
+identical inputs give bit-identical forward values.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import numpy as np
 
 
 class Tensor:
-    """A dense f64 array with an optional gradient buffer.
+    """A dense float64 array (float32 if given float32 values) with an
+    optional gradient buffer of the same dtype.
 
     Tensors that are leaves (created directly with ``requires_grad=True``)
     accumulate gradients in ``.grad`` after ``backward``. Interior nodes
@@ -28,7 +34,9 @@ class Tensor:
 
     def __init__(self, values, requires_grad: bool = False,
                  _parents: tuple = (), _backward: Callable | None = None):
-        self.values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values)
+        self.values = values if values.dtype == np.float32 \
+            else values.astype(np.float64, copy=False)
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         self.grad: np.ndarray | None = None
         self._parents = _parents if self.requires_grad else ()
@@ -97,21 +105,21 @@ class Tensor:
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
-        return add(self, _wrap(other))
+        return add(self, _wrap(other, self))
 
     def __radd__(self, other):
-        return add(_wrap(other), self)
+        return add(_wrap(other, self), self)
 
     def __sub__(self, other):
-        return add(self, mul_const(_wrap(other), -1.0))
+        return add(self, mul_const(_wrap(other, self), -1.0))
 
     def __rsub__(self, other):
-        return add(_wrap(other), mul_const(self, -1.0))
+        return add(_wrap(other, self), mul_const(self, -1.0))
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return mul_const(self, float(other))
-        return mul(self, other)
+        return mul(self, _wrap(other, self))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -123,8 +131,13 @@ class Tensor:
         return matmul(self, other)
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+def const(values, like: Tensor) -> Tensor:
+    """A constant (no gradient) holding `values` in the dtype of `like`."""
+    return Tensor(np.asarray(values, dtype=like.values.dtype))
+
+
+def _wrap(x, like: Tensor) -> Tensor:
+    return x if isinstance(x, Tensor) else const(x, like)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -268,7 +281,7 @@ def scatter(values: Tensor, indices: np.ndarray, out_shape: tuple) -> Tensor:
     `indices` holds flat positions into the output (same shape as values).
     """
     idx = np.asarray(indices).ravel()
-    out_vals = np.zeros(out_shape, dtype=np.float64)
+    out_vals = np.zeros(out_shape, dtype=values.values.dtype)
     np.add.at(out_vals.ravel(), idx, values.values.ravel())
 
     def bw(g):
@@ -337,7 +350,7 @@ def masked_softmax(a: Tensor, allowed: np.ndarray, axis: int = -1) -> Tensor:
     # exp(0) and then zeroed: numpy's exp is several times slower on
     # arrays holding -inf or values that underflow.
     row_max = np.where(mask, a.values, -np.inf).max(axis=axis, keepdims=True)
-    keep = mask.astype(np.float64)
+    keep = mask.astype(a.values.dtype)
     out_vals = a.values - row_max
     out_vals *= keep
     np.exp(out_vals, out=out_vals)
@@ -360,7 +373,7 @@ def norm_affine(a: Tensor, scale: Tensor, shift: Tensor,
     mu = mean(a, axis=axis, keepdims=True)
     centered = a - mu
     var = mean(mul(centered, centered), axis=axis, keepdims=True)
-    inv = power(add(var, Tensor(np.full(var.shape, eps))), -0.5)
+    inv = power(var + eps, -0.5)
     return add(mul(mul(centered, inv), scale), shift)
 
 

@@ -175,6 +175,29 @@ class TestSolveVerifyOracle:
                      "--solution", str(bad)]) == 1
         assert "VIOLATION" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text, match", [
+        ('{"actions": [0, 1', "solution .*bad.json is not valid JSON"),
+        ('{"cost": 1.0}', "solution .*bad.json must be a JSON object with"),
+        ('{"actions": [0, 1, 0]}', "solution .*bad.json must be a JSON object"),
+        ('{"actions": 3, "cost": 1.0}', "solution .*bad.json is malformed")],
+        ids=["truncated", "no-actions", "no-cost", "actions-not-list"])
+    def test_verify_names_unreadable_solution(self, workdir, text, match):
+        inst_path = _gen(workdir)[0]
+        bad = workdir / "bad.json"
+        bad.write_text(text)
+        with pytest.raises(SystemExit, match=match):
+            main(["verify", "--instance", str(inst_path),
+                  "--solution", str(bad)])
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "oracle"])
+    def test_missing_instance_named(self, workdir, command):
+        extra = {"solve": ["--checkpoint", "model.ckpt"],
+                 "verify": ["--solution", "sol.json"], "oracle": []}[command]
+        missing = workdir / "missing.json"
+        with pytest.raises(SystemExit,
+                           match="cannot read instance .*missing.json"):
+            main([command, "--instance", str(missing), *extra])
+
     def test_oracle_reports_proven_optimum(self, workdir, capsys):
         inst_path = _gen(workdir, n=5)[0]
         capsys.readouterr()          # drop the gen command's output

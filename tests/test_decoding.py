@@ -1,5 +1,7 @@
 """Tests for batched rollouts and decoding policies."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -213,3 +215,89 @@ class TestSolvePolicies:
         with pytest.raises(ValueError):
             D.solve(generate(Variant.VRP, 5, seed=0), params, cfg,
                     policy="magic")
+
+
+def _float64_params(params):
+    return {k: v.detach() for k, v in params.items()}
+
+
+class TestFloat32Inference:
+    """`solve` decodes in float32; training stays float64."""
+
+    @pytest.mark.parametrize("cfg, variant, n", [
+        (replace(M.ModelConfig.full_scale(), cluster_size=20, rounds=2),
+         Variant.VRP, 45),
+        (_toy(Variant.EVRPCS), Variant.EVRPCS, 8)], ids=["full-cpa", "toy-evrpcs"])
+    def test_no_float64_leaks_into_a_solve(self, monkeypatch, cfg, variant, n):
+        seen = []
+
+        def checked(fn, fields):
+            def wrapper(*args, **kw):
+                out = fn(*args, **kw)
+                for name in fields:
+                    t = getattr(out, name) if name else out
+                    if t is not None:
+                        seen.append((fn.__name__, name, t.values.dtype))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(M, "build_decode_cache", checked(
+            M.build_decode_cache,
+            ("h_nodes", "k_glimpse", "v_glimpse", "k_logit", "heat")))
+        monkeypatch.setattr(M, "expand_cache", checked(
+            M.expand_cache, ("h_flat", "k_g", "v_g", "k_l", "heat_flat")))
+        monkeypatch.setattr(M, "decode_step", checked(M.decode_step, ("",)))
+        params = M.init_params(cfg, seed=1)
+        inst = generate(variant, n, seed=2)
+        assert E.validate_solution(inst, D.solve(inst, params, cfg)).ok
+        # the training-only Gumbel noise path too
+        D.build_cache([inst], D.inference_params(params), cfg,
+                      gumbel_rng=np.random.default_rng(0))
+        assert {fn for fn, _, _ in seen} == {
+            "build_decode_cache", "expand_cache", "decode_step"}
+        assert {dt for _, _, dt in seen} == {np.dtype(np.float32)}, seen
+
+    def test_inference_params_are_detached_float32_copies(self):
+        params = M.init_params(_toy(), seed=0)
+        copies = D.inference_params(params)
+        assert copies.keys() == params.keys()
+        for k, t in copies.items():
+            assert t.values.dtype == np.float32 and not t.requires_grad
+            assert np.allclose(t.values, params[k].values, rtol=1e-6)
+            assert params[k].values.dtype == np.float64
+
+    def test_training_stays_float64(self):
+        from neurovrp.training import TrainConfig, train
+        cfg = _toy(Variant.EVRPCS)
+        tc = TrainConfig(n_customers=6, epochs=1, batches_per_epoch=1,
+                         batch_size=2, pomo_size=2, val_size=2,
+                         gen=GenConfig(n_stations=2))
+        params, _ = train(tc, cfg, log=lambda *_: None)
+        for k, t in params.items():
+            assert t.values.dtype == np.float64, k
+            assert t.grad is not None and t.grad.dtype == np.float64, k
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_float32_solve_matches_float64(self, monkeypatch, variant):
+        """ROADMAP O9: greedy actions identical on >= 95 % of instances and
+        mean cost within 0.1 % of the same solve at float64."""
+        cfg = _toy(variant)
+        params = M.init_params(cfg, seed=3)
+        insts = [generate(variant, 10, seed=s) for s in range(20)]
+        policies = ["greedy", "sampling", "pomo"]
+        if variant != Variant.AVRP:
+            policies.append("pomo-aug")
+        for policy in policies:
+            sols = {}
+            for dtype, copies in (("f32", D.inference_params),
+                                  ("f64", _float64_params)):
+                monkeypatch.setattr(D, "inference_params", copies)
+                sols[dtype] = [D.solve(inst, params, cfg, policy=policy,
+                                       samples=4, seed=s)
+                               for s, inst in enumerate(insts)]
+            same = sum(a.actions == b.actions
+                       for a, b in zip(sols["f32"], sols["f64"]))
+            assert same >= 0.95 * len(insts), (policy, same)
+            c32, c64 = (np.mean([s.cost for s in sols[k]])
+                        for k in ("f32", "f64"))
+            assert abs(c32 - c64) <= 1e-3 * c64, (policy, c32, c64)

@@ -239,6 +239,41 @@ class TestBackwardMechanics:
                 lambda: T.tsum(a * float(rng.random())), [a], count=2)
 
 
+class TestDtypeRule:
+    @pytest.mark.parametrize("values", [
+        [1, 2], np.arange(3), np.ones(2, dtype=bool), 2.5,
+        np.ones(2, dtype=np.float16), np.ones(2)], ids=[
+        "list", "int", "bool", "scalar", "float16", "float64"])
+    def test_float64_is_the_default(self, values):
+        assert Tensor(values).values.dtype == np.float64
+
+    def test_float32_values_are_kept(self):
+        v = np.ones(3, dtype=np.float32)
+        t = Tensor(v)
+        assert t.values is v and t.detach().values.dtype == np.float32
+
+    def test_constants_take_the_tensor_dtype(self):
+        x = Tensor(np.ones((2, 3), dtype=np.float32))
+        w = np.arange(6.0).reshape(2, 3)                 # float64
+        for out in (x + w, x - w, 1.0 - x, x * w, x * 2.0,
+                    T.const(w, x) @ T.swapaxes(x, 0, 1)):
+            assert out.values.dtype == np.float32
+        assert T.const(w, Tensor(w)).values.dtype == np.float64
+
+    def test_float32_graph_stays_float32(self):
+        rng = np.random.default_rng(0)
+        a = Tensor(rng.normal(size=(2, 5, 4)).astype(np.float32))
+        scale = Tensor(np.ones(4, dtype=np.float32))
+        shift = Tensor(np.zeros(4, dtype=np.float32))
+        allowed = rng.random((2, 5, 4)) < 0.7
+        allowed[..., 0] = True
+        outs = [T.norm_affine(a, scale, shift),
+                T.masked_softmax(a, allowed),
+                T.scatter(a, np.arange(a.size), (a.size + 2,)),
+                T.silu(a), T.tanh(a), T.mean(a, axis=1)]
+        assert {o.values.dtype for o in outs} == {np.dtype(np.float32)}
+
+
 class TestCheckpoints:
     def test_roundtrip(self, tmp_path):
         params = {"w": _leaf((3, 2)), "b": _leaf((2,), seed=1)}
